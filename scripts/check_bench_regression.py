@@ -1,578 +1,398 @@
 #!/usr/bin/env python
-"""Guard the batched-execution economics against regressions.
+"""Gate the deterministic cost-unit baselines (``BENCH_*.json``).
 
-Runs the batch-lookup benchmark (``repro.bench.batch``), the
-sharded-engine benchmark (``repro.bench.shard``), the parallel
-scatter/gather benchmark (``repro.bench.parallel``), the adaptive
-cache benchmark (``repro.bench.cache``), the prefetch-wave
-benchmark (``repro.bench.mlp``), the leaf-kind frontier benchmark
-(``repro.bench.learned``), the divergent-replica cluster benchmark
-(``repro.bench.cluster``), the durable-write benchmark
-(``repro.bench.wal``), and the self-tuning advisor benchmark
-(``repro.bench.selftune``) in small, deterministic smoke
-configurations and compares their *weighted cost units* — which are
-exactly reproducible, unlike wall-clock — against the committed
-baselines ``BENCH_batch.json``, ``BENCH_shard.json``,
-``BENCH_parallel.json``, ``BENCH_cache.json``, ``BENCH_mlp.json``,
-``BENCH_learned.json``, ``BENCH_cluster.json``, ``BENCH_wal.json``,
-and ``BENCH_selftune.json`` (``--list`` enumerates all nine; a missing
-baseline fails loudly; ``--only <gate> ...`` restricts a run — and
-``--update`` — to a subset).
-The MLP gate asserts the wave-pricing contract: results byte-identical
-to serial pricing on every arm, wave-priced descents strictly cheaper
-than serial pricing at every W >= 2, W=1 reproducing today's batched
-counts exactly, and the elastic W=4 arm beating flat batched pricing
-by at least 20%.
-The learned gate asserts the three-point frontier contract: identical
-results on every arm, learned leaves strictly smaller than full and
-strictly cheaper per sorted-probe lookup than compact, the 3-way
-elastic arm never worse than the 2-way arm at the same soft bound,
-and an explicit ``leaf_kinds=("standard", "compact")`` build
-reproducing the default-config event counts exactly (the learned-off
-passthrough).
-The cluster gate asserts the divergent-replication contract: identical
-results on every arm, a divergent 3-replica cluster strictly beating
-three identical replicas at equal total memory (acceptance floor),
-``replicas=ReplicaConfig(replicas=1)`` byte-identical to the plain
-index, and a scripted mid-workload outage replaying deterministically
-with its failover visible as ``replica_failover`` events in the
-enabled replay.
-The selftune gate asserts the closed-loop dominance contract: over the
-five-scenario adversarial pack at equal total memory, the self-tuned
-arm returns identical query answers, costs no more than the *best*
-static arm on every scenario (graded post-hoc against the sweep's
-luckiest entry), is strictly cheaper on at least three, and actually
-fires at least one tuning action per scenario; the enabled replay must
-surface the decisions as ``tuning_probe``/``tuning_action`` events and
-``repro_tuning_*`` metrics without changing a single cost unit.
-The WAL gate asserts the durable-write contract: digests identical
-across the WAL-off, per-op-fsync, and group-commit arms, group commit
-cutting the durability overhead by at least 30% vs per-op fsync at
-group size 64, the scripted kill + recover differential matching an
-independent replay of exactly the committed prefix (deterministically
-across two cycles), and the WAL-off arm bit-identical to its
-committed baseline — the redesigned write surface costs nothing when
-no log is attached.
-Fails (exit 1) when any tracked cost metric regresses by more than
-25%, when the batch cost saving falls below the 30% acceptance floor,
-when the budget arbiter fails to strictly dominate the static
-equal split in the sharded smoke (lower total cost units at equal
-global memory, with at least one rebalance applied and visible as a
-``budget_rebalance`` event in the enabled replay), when the parallel
-executor violates its contract (results must be identical to serial on
-every op; the critical path must sit strictly below the serial sum on
-hash-sharded batched lookups at >= 4 shards; a single-shard scatter
-must charge exactly serial cost), or when the cache smoke violates its
-contract (cache-on must return byte-identical answers, cut weighted
-cost by at least 25% at equal total memory on both skewed workloads,
-and the cache-off arm must match the committed baseline exactly —
-proving the cache wiring costs nothing when no cache is attached).
-Optionally smoke-runs the wall-clock microbenchmarks (one pass, timing
-disabled) to catch crashes there without gating on noisy timings.
+Each entry of ``GATES`` runs one ``repro.bench`` experiment in a small,
+seeded smoke configuration and fails (exit 1) unless:
 
-Observability guards: with instrumentation *disabled* (the default) the
-smoke cost metrics must match the committed baseline **exactly** at the
-baseline's stored precision — the zero-overhead guarantee of
-``repro.obs``; the smoke is then replayed with instrumentation
-*enabled*, which must capture events without changing a single cost
-unit.  A subprocess smoke also exercises the redesigned ``DBTable``
-read surface under ``-W error::DeprecationWarning`` to prove the new
-spellings are warning-free.
+* every metric equals its committed baseline at the stored precision,
+  ``round(value, 4)`` — cost units are exactly reproducible, so any
+  drift at all means the economics (or the zero-overhead guarantee of
+  ``repro.obs``) changed;
+* the gate's contract checks (floors, orderings, flags) hold;
+* a replay with observability enabled and an ``Observer`` attached
+  reproduces every metric exactly and shows the gate's activity as the
+  events and metrics its spec names.
 
-Not part of the tier-1 test suite (pytest testpaths excludes scripts/);
-run it by hand or from CI:
+A subprocess smoke then drives the ``DBTable`` surface under
+``-W error::DeprecationWarning``, and the wall-clock microbenchmarks
+run once with timing disabled (``--skip-wallclock`` skips them).
+Bad arguments exit 2.  Not part of the tier-1 suite; run it by hand or
+from CI:
 
     PYTHONPATH=src python scripts/check_bench_regression.py
-    PYTHONPATH=src python scripts/check_bench_regression.py --update
+    PYTHONPATH=src python scripts/check_bench_regression.py --only cache wal
+    PYTHONPATH=src python scripts/check_bench_regression.py --update --only batch
+    PYTHONPATH=src python scripts/check_bench_regression.py --list
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
+import operator
 import os
 import subprocess
 import sys
+from typing import Callable, Dict, NamedTuple, Tuple
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BASELINE_PATH = os.path.join(REPO, "BENCH_batch.json")
-SHARD_BASELINE_PATH = os.path.join(REPO, "BENCH_shard.json")
-PARALLEL_BASELINE_PATH = os.path.join(REPO, "BENCH_parallel.json")
-CACHE_BASELINE_PATH = os.path.join(REPO, "BENCH_cache.json")
-MLP_BASELINE_PATH = os.path.join(REPO, "BENCH_mlp.json")
-LEARNED_BASELINE_PATH = os.path.join(REPO, "BENCH_learned.json")
-CLUSTER_BASELINE_PATH = os.path.join(REPO, "BENCH_cluster.json")
-WAL_BASELINE_PATH = os.path.join(REPO, "BENCH_wal.json")
-SELFTUNE_BASELINE_PATH = os.path.join(REPO, "BENCH_selftune.json")
-
-#: Every committed baseline this script gates on.  ``--list`` prints
-#: these; a gate whose baseline is missing fails loudly rather than
-#: silently skipping.  ``--only <gate>`` restricts a run (and
-#: ``--update``) to a subset, so a new gate's baseline can be minted
-#: without regenerating the others.
-ALL_BASELINES = (
-    ("batch", BASELINE_PATH),
-    ("shard", SHARD_BASELINE_PATH),
-    ("parallel", PARALLEL_BASELINE_PATH),
-    ("cache", CACHE_BASELINE_PATH),
-    ("mlp", MLP_BASELINE_PATH),
-    ("learned", LEARNED_BASELINE_PATH),
-    ("cluster", CLUSTER_BASELINE_PATH),
-    ("wal", WAL_BASELINE_PATH),
-    ("selftune", SELFTUNE_BASELINE_PATH),
-)
-TOLERANCE = 0.25
-SAVING_FLOOR = 0.30
-#: The arbiter must beat static equal split by at least this saving in
-#: the sharded smoke configuration (strict-dominance acceptance).
-SHARD_SAVING_FLOOR = 0.05
-#: The adaptive cache must cut weighted cost by at least this much at
-#: equal total memory on each skewed smoke workload (acceptance floor).
-CACHE_SAVING_FLOOR = 0.25
-
-#: Deterministic smoke configuration (seeded rngs, cost units exact).
-SMOKE = dict(
-    n_keys=20_000,
-    query_count=2048,
-    batch_sizes=(1, 16, 256, 2048),
-    indexes=("elastic", "stx"),
-    seed=11,
-    wall_repeats=1,
-)
-
-#: Sharded-engine smoke: two tables, two shards each, one global bound,
-#: budget arbitration vs static split (repro.bench.shard).
-SHARD_SMOKE = dict(
-    n_big=4000,
-    n_small=300,
-    txn_ops=6000,
-    shards=2,
-    seed=17,
-)
-
-#: Parallel-executor smoke: serial vs parallel scatter/gather over a
-#: hash-sharded index at one shard (single-task short-cut: exactly
-#: serial) and four shards (critical path strictly below serial sum).
-PARALLEL_SMOKE = dict(
-    n_keys=6000,
-    batch_ops=512,
-    scan_ops=64,
-    scan_count=8,
-    shard_counts=(1, 4),
-    workers=4,
-    seed=19,
-)
 
 
-#: Adaptive-cache smoke: YCSB-C zipfian + IOTTA trace, cache on vs off
-#: at one identical soft memory bound (repro.bench.cache).
-CACHE_SMOKE = dict(
-    n_keys=8000,
-    query_count=16_000,
-    iotta_rows=6000,
-    seed=23,
-)
+class Check(NamedTuple):
+    """One contract entry: ``holds(meta, bound)`` must be true."""
 
-#: The wave-priced elastic arm at W=4 must beat the flat batched (W=1)
-#: pricing by at least this saving (acceptance floor).
-MLP_SAVING_FLOOR = 0.20
+    name: str
+    bound: object
+    holds: Callable[[dict, object], bool]
 
-#: Prefetch-wave smoke: scalar vs batched vs wave-priced lookups across
-#: wave widths on three index families (repro.bench.mlp).
-MLP_SMOKE = dict(
-    n_keys=10_000,
-    query_count=1024,
-    widths=(1, 2, 3, 4),
-    indexes=("elastic", "stx", "seqtree128"),
-    seed=13,
-    batch_size=256,
-)
 
-#: Leaf-kind frontier smoke: full vs compact vs learned vs 2-way and
-#: 3-way elastic arms at one derived soft bound (repro.bench.learned).
-LEARNED_SMOKE = dict(
-    n_keys=9_000,
-    query_count=2_048,
-    seed=29,
-    batch_size=256,
-)
-#: Every arm the learned smoke measures (metric key prefixes).
+_OPS = {">=": operator.ge, ">": operator.gt, "<": operator.lt,
+        "==": operator.eq}
+
+
+def _at(meta: dict, path: str):
+    """``meta["a"]["b"]`` for the dotted path ``"a.b"``."""
+    for part in path.split("."):
+        meta = meta[part]
+    return meta
+
+
+def check(path: str, op: str, bound) -> Check:
+    """``meta[path] <op> bound``; a ``str`` bound names another path."""
+    def holds(meta, bound):
+        other = _at(meta, bound) if isinstance(bound, str) else bound
+        return _OPS[op](_at(meta, path), other)
+    return Check(f"{path} {op}", bound, holds)
+
+
+def flags(*paths: str) -> Tuple[Check, ...]:
+    """Contract booleans that must all be true."""
+    return tuple(check(path, "==", True) for path in paths)
+
+
+class Gate(NamedTuple):
+    """One BENCH gate: what to run, what to pin, what must hold."""
+
+    reason: str
+    baseline: str
+    #: Smoke kwargs for ``repro.bench.<gate>.run``; stored as the
+    #: baseline's ``config`` on ``--update``.
+    config: dict
+    #: ``meta -> {metric: value}``; every value is pinned exactly.
+    metrics: Callable[[dict], Dict[str, float]]
+    checks: Tuple[Check, ...]
+    #: Registry instruments whose total must be nonzero in the replay.
+    replay_metrics: Tuple[str, ...] = ()
+    #: Event kinds the replay's observer must capture; ``kind:direction``
+    #: counts only events with that ``direction``.
+    replay_events: Tuple[str, ...] = ()
+    #: Checks over the replay's meta (event counts the bench run kept).
+    replay_checks: Tuple[Check, ...] = ()
+    #: Forward ``capture_events`` (off in the base run, on in the replay).
+    capture_events: bool = False
+
+
+def _pick(prefix: str, meta: dict, keys) -> Dict[str, float]:
+    return {f"{prefix}.{key}": meta[key] for key in keys}
+
+
+BATCH = dict(n_keys=20_000, query_count=2048,
+             batch_sizes=(1, 16, 256, 2048), indexes=("elastic", "stx"),
+             seed=11, wall_repeats=1)
+MLP = dict(n_keys=10_000, query_count=1024, widths=(1, 2, 3, 4),
+           indexes=("elastic", "stx", "seqtree128"), seed=13,
+           batch_size=256)
 LEARNED_ARMS = ("full", "compact", "learned", "elastic-2way",
                 "elastic-3way")
-
-#: The divergent 3-replica cluster must beat three identical replicas
-#: at equal total memory by at least this saving (acceptance floor).
-CLUSTER_SAVING_FLOOR = 0.03
-
-#: Divergent-replica cluster smoke: uniform vs divergent 3-replica
-#: arms, replicas=1 passthrough, scripted failover (repro.bench.cluster).
-CLUSTER_SMOKE = dict(
-    n_keys=6_000,
-    ops=3_000,
-    seed=41,
-)
-
-#: Group commit must cut the durability overhead (cost above the
-#: WAL-off arm) by at least this much vs per-operation fsync at the
-#: smoke's group size (acceptance floor; in practice it is far lower —
-#: one barrier per 64 records).
-WAL_SAVING_FLOOR = 0.30
-
-#: Durable-write smoke: WAL off vs per-op fsync vs group commit, plus
-#: a scripted kill + recovery differential (repro.bench.wal).
-WAL_SMOKE = dict(
-    n_rows=2_000,
-    batch_rows=24,
-    group_size=64,
-    kill_after_applies=90,
-    seed=43,
-)
-
-#: Self-tuning smoke: the five-scenario adversarial pack at scale 1,
-#: self-tuned arm vs the swept static grid (repro.bench.selftune).
-SELFTUNE_SMOKE = dict(scale=1)
-
-#: The self-tuned arm must be strictly cheaper than the *best* static
-#: arm on at least this many of the five scenarios (and never worse on
-#: any).
-SELFTUNE_STRICT_WINS_FLOOR = 3
+SCENARIOS = ("anti_zipf_churn", "bulk_load_then_scan", "diurnal",
+             "hotspot_migration", "noisy_neighbor")
+CACHE_WORKLOADS = ("zipf", "iotta")
 
 
-def run_smoke():
-    from repro.bench import batch
-
-    result = batch.run(**SMOKE)
-    metrics = {}
-    for kind in SMOKE["indexes"]:
-        summary = result.meta[kind]
-        metrics[f"{kind}.scalar_cost_units"] = summary["scalar_cost_units"]
-        metrics[f"{kind}.batch_cost_units"] = summary["batch_cost_units"]
-        metrics[f"{kind}.cost_saving"] = summary["cost_saving"]
-    return result, metrics
-
-
-def run_shard_smoke():
-    """The sharded smoke with observability left alone (disabled)."""
-    from repro.bench import shard
-
-    result = shard.run(capture_events=False, **SHARD_SMOKE)
-    meta = result.meta
-    metrics = {
-        "shard.static_cost_units": meta["static_cost_units"],
-        "shard.arbiter_cost_units": meta["arbiter_cost_units"],
-        "shard.cost_saving": meta["cost_saving"],
-    }
-    return result, metrics, meta
-
-
-def run_parallel_smoke():
-    """The parallel-executor smoke (observability left disabled)."""
-    from repro.bench import parallel
-
-    result = parallel.run(**PARALLEL_SMOKE)
-    meta = result.meta
-    metrics = {}
-    for shards, arm in sorted(meta["per_shards"].items(), key=lambda kv:
-                              int(kv[0])):
+def _parallel_metrics(meta):
+    return {
+        f"parallel.s{shards}.{name}": meta["per_shards"][shards][name]
+        for shards in sorted(meta["per_shards"], key=int)
         for name in ("serial_lookup_cost", "parallel_lookup_cost",
-                     "serial_scan_cost", "parallel_scan_cost"):
-            metrics[f"parallel.s{shards}.{name}"] = arm[name]
-    return result, metrics, meta
+                     "serial_scan_cost", "parallel_scan_cost")
+    }
 
 
-def run_cache_smoke():
-    """The adaptive-cache smoke (observability left disabled)."""
-    from repro.bench import cache
-
-    result = cache.run(**CACHE_SMOKE)
-    meta = result.meta
+def _mlp_metrics(meta):
     metrics = {}
-    for workload in ("zipf", "iotta"):
-        for name in ("base_cost_units", "cached_cost_units",
-                     "cost_saving", "hit_rate"):
-            metrics[f"cache.{workload}.{name}"] = meta[f"{workload}_{name}"]
-    return result, metrics, meta
-
-
-def run_mlp_smoke():
-    """The prefetch-wave smoke (observability left disabled)."""
-    from repro.bench import mlp
-
-    result = mlp.run(**MLP_SMOKE)
-    meta = result.meta
-    metrics = {}
-    for kind in MLP_SMOKE["indexes"]:
+    for kind in MLP["indexes"]:
         arm = meta[kind]
-        metrics[f"mlp.{kind}.scalar_cost_units"] = arm["scalar_cost_units"]
-        metrics[f"mlp.{kind}.batched_cost_units"] = arm["batched_cost_units"]
+        metrics.update(_pick(f"mlp.{kind}", arm, ("scalar_cost_units",
+                                                  "batched_cost_units")))
         for width, cost in arm["per_width_cost_units"].items():
             metrics[f"mlp.{kind}.w{width}_cost_units"] = cost
-    return result, metrics, meta
+    return metrics
 
 
-def run_learned_smoke():
-    """The leaf-kind frontier smoke (observability left disabled)."""
-    from repro.bench import learned
+def _mlp_checks():
+    checks = ()
+    for kind in MLP["indexes"]:
+        checks += flags(f"{kind}.results_identical", f"{kind}.w1_exact")
+        checks += tuple(check(f"{kind}.per_width_cost_units.{width}", "<",
+                              f"{kind}.scalar_cost_units")
+                        for width in MLP["widths"] if width >= 2)
+    return checks
 
-    result = learned.run(**LEARNED_SMOKE)
-    meta = result.meta
+
+def _selftune_metrics(meta):
+    # Totals sum in sorted scenario order, the order the baseline used.
+    scenarios = sorted(meta["scenarios"].items())
     metrics = {}
-    for arm in LEARNED_ARMS:
-        stats = meta["arms"][arm]
-        metrics[f"learned.{arm}.index_bytes"] = stats["index_bytes"]
-        metrics[f"learned.{arm}.sorted_cost_units"] = (
-            stats["sorted_cost_units"]
-        )
-        metrics[f"learned.{arm}.zipf_cost_units"] = stats["zipf_cost_units"]
-    return result, metrics, meta
+    for name, verdict in scenarios:
+        metrics.update(_pick(f"selftune.{name}", verdict,
+                             ("self_cost_units", "best_static_units")))
+    metrics["selftune.self_cost_units"] = round(
+        sum(v["self_cost_units"] for _, v in scenarios), 2)
+    metrics["selftune.best_static_cost_units"] = round(
+        sum(v["best_static_units"] for _, v in scenarios), 2)
+    return metrics
 
 
-def run_cluster_smoke(capture_events: bool = False):
-    """The divergent-cluster smoke (observability left disabled)."""
-    from repro.bench import cluster
+#: The gate registry, in the order the mechanisms landed.
+GATES: Dict[str, Gate] = {
+    "batch": Gate(
+        "shared-descent batching cuts lookup cost units by >= 30%",
+        "BENCH_batch.json", BATCH,
+        lambda meta: {
+            f"{kind}.{name}": meta[kind][name]
+            for kind in BATCH["indexes"]
+            for name in ("scalar_cost_units", "batch_cost_units",
+                         "cost_saving")
+        },
+        tuple(check(f"{kind}.cost_saving", ">=", 0.30)
+              for kind in BATCH["indexes"]),
+        replay_metrics=("repro_batch_dispatch_ops_total",),
+        replay_events=("batch_dispatch",),
+    ),
+    "shard": Gate(
+        "the budget arbiter strictly beats a static equal split",
+        "BENCH_shard.json",
+        dict(n_big=4000, n_small=300, txn_ops=6000, shards=2, seed=17),
+        lambda meta: _pick("shard", meta, (
+            "static_cost_units", "arbiter_cost_units", "cost_saving")),
+        (check("arbiter_cost_units", "<", "static_cost_units"),
+         check("cost_saving", ">=", 0.05),
+         check("rebalances", ">", 0)),
+        replay_checks=(check("rebalance_events", ">", 0),
+                       check("rebalance_events", "==", "rebalances")),
+        capture_events=True,
+    ),
+    "parallel": Gate(
+        "scatter/gather keeps answers; its critical path beats the "
+        "serial sum at 4 shards and equals serial at 1",
+        "BENCH_parallel.json",
+        dict(n_keys=6000, batch_ops=512, scan_ops=64, scan_count=8,
+             shard_counts=(1, 4), workers=4, seed=19),
+        _parallel_metrics,
+        flags("results_identical") + (
+            check("per_shards.1.parallel_lookup_cost", "==",
+                  "per_shards.1.serial_lookup_cost"),
+            check("per_shards.1.parallel_scan_cost", "==",
+                  "per_shards.1.serial_scan_cost"),
+            check("per_shards.4.parallel_lookup_cost", "<",
+                  "per_shards.4.serial_lookup_cost"),
+            check("per_shards.4.critical_path_units", "<",
+                  "per_shards.4.serial_sum_units"),
+        ),
+        replay_metrics=("repro_shard_dispatch_ops_total",),
+        replay_events=("parallel_gather",),
+        replay_checks=flags("results_identical"),
+    ),
+    "cache": Gate(
+        "the adaptive cache cuts cost >= 25% at equal memory on both "
+        "skewed workloads without changing answers",
+        "BENCH_cache.json",
+        dict(n_keys=8000, query_count=16_000, iotta_rows=6000, seed=23),
+        lambda meta: {
+            f"cache.{workload}.{name}": meta[f"{workload}_{name}"]
+            for workload in CACHE_WORKLOADS
+            for name in ("base_cost_units", "cached_cost_units",
+                         "cost_saving", "hit_rate")
+        },
+        flags("results_identical")
+        + tuple(check(f"{workload}_cost_saving", ">=", 0.25)
+                for workload in CACHE_WORKLOADS)
+        + tuple(check(f"{workload}_hit_rate", ">", 0.0)
+                for workload in CACHE_WORKLOADS),
+        replay_metrics=("repro_cache_events_total", "repro_cache_hit_rate"),
+    ),
+    "mlp": Gate(
+        "wave pricing keeps answers, W=1 reproduces batched counts, every "
+        "W >= 2 beats serial, elastic W=4 beats batched by >= 20%",
+        "BENCH_mlp.json", MLP, _mlp_metrics,
+        _mlp_checks() + (check("elastic.saving_at_w4_vs_batched", ">=",
+                               0.20),),
+        replay_metrics=("repro_mlp_waves_total",),
+        replay_events=("mlp_wave",),
+    ),
+    "learned": Gate(
+        "learned leaves are a third frontier point: smaller than full, "
+        "cheaper than compact, and never hurt the elastic arm",
+        "BENCH_learned.json",
+        dict(n_keys=9_000, query_count=2_048, seed=29, batch_size=256),
+        lambda meta: {
+            f"learned.{arm}.{name}": meta["arms"][arm][name]
+            for arm in LEARNED_ARMS
+            for name in ("index_bytes", "sorted_cost_units",
+                         "zipf_cost_units")
+        },
+        flags("results_identical", "learned_mem_lt_full",
+              "learned_cost_lt_compact", "elastic3_not_worse",
+              "learned_off_exact"),
+        replay_metrics=("repro_leaf_retrains_total",),
+        replay_events=("leaf_retrain", "leaf_conversion:to_learned"),
+    ),
+    "cluster": Gate(
+        "divergent replicas beat identical ones at equal memory; one "
+        "replica is the plain index; failover replays deterministically",
+        "BENCH_cluster.json", dict(n_keys=6_000, ops=3_000, seed=41),
+        lambda meta: _pick("cluster", meta, (
+            "uniform_cost_units", "divergent_cost_units",
+            "single_cost_units", "r1_cost_units", "failover_cost_units")),
+        flags("results_identical", "r1_exact", "failover_deterministic")
+        + (check("divergent_saving", ">=", 0.03),),
+        replay_metrics=("repro_replica_routes_total",),
+        replay_checks=tuple(
+            check(f"failover_events.{kind}", ">", 0)
+            for kind in ("replica_route", "replica_failover",
+                         "cluster_budget")),
+        capture_events=True,
+    ),
+    "wal": Gate(
+        "group commit cuts durability overhead >= 30% vs per-op fsync; "
+        "kill + recover matches the committed prefix",
+        "BENCH_wal.json",
+        dict(n_rows=2_000, batch_rows=24, group_size=64,
+             kill_after_applies=90, seed=43),
+        lambda meta: _pick("wal", meta, (
+            "off_cost_units", "perop_cost_units", "group_cost_units",
+            "recovery_cost_units")),
+        flags("results_identical", "recovery_match",
+              "recovery_deterministic")
+        + (check("overhead_saving", ">=", 0.30),
+           check("records_discarded", ">", 0)),
+        replay_metrics=("repro_wal_records_total",),
+        replay_checks=tuple(
+            check(f"crash_events.{kind}", ">", 0)
+            for kind in ("wal_append", "group_commit", "recovery_replay")),
+        capture_events=True,
+    ),
+    "selftune": Gate(
+        "the self-tuned arm never loses to the best static arm, wins "
+        "strictly on >= 3 of 5 scenarios, and acts on every one",
+        "BENCH_selftune.json", dict(scale=1), _selftune_metrics,
+        flags("results_identical")
+        + flags(*(f"scenarios.{name}.dominates" for name in SCENARIOS))
+        + (check("strict_wins", ">=", 3),)
+        + tuple(check(f"scenarios.{name}.actions_applied", ">", 0)
+                for name in SCENARIOS),
+        replay_metrics=("repro_tuning_actions_total",),
+        replay_events=("tuning_probe", "tuning_action"),
+    ),
+}
 
-    result = cluster.run(capture_events=capture_events, **CLUSTER_SMOKE)
-    meta = result.meta
-    metrics = {
-        "cluster.uniform_cost_units": meta["uniform_cost_units"],
-        "cluster.divergent_cost_units": meta["divergent_cost_units"],
-        "cluster.single_cost_units": meta["single_cost_units"],
-        "cluster.r1_cost_units": meta["r1_cost_units"],
-        "cluster.failover_cost_units": meta["failover_cost_units"],
-    }
-    return result, metrics, meta
 
+def run_gate(name: str, gate: Gate, capture_events: bool = False):
+    """Run the gate's smoke; returns ``(result, metrics, meta)``.
 
-def run_wal_smoke(capture_events: bool = False):
-    """The durable-write smoke (observability left disabled)."""
-    from repro.bench import wal
-
-    result = wal.run(capture_events=capture_events, **WAL_SMOKE)
-    meta = result.meta
-    metrics = {
-        "wal.off_cost_units": meta["off_cost_units"],
-        "wal.perop_cost_units": meta["perop_cost_units"],
-        "wal.group_cost_units": meta["group_cost_units"],
-        "wal.recovery_cost_units": meta["recovery_cost_units"],
-    }
-    return result, metrics, meta
-
-
-def check_wal(metrics: dict, meta: dict, baseline: dict) -> list:
-    """Durable-write contract + cost-regression checks for the WAL smoke.
-
-    Contract: (a) table/index digests identical across the WAL-off,
-    per-op-fsync, and group-commit arms (durability must change cost
-    accounting, never answers), (b) group commit cutting the durability
-    overhead by at least the acceptance floor vs per-op fsync, (c) the
-    kill + recover differential matching an independent replay of
-    exactly the committed unit-op prefix, replayed deterministically
-    across two crash/recover cycles, and (d) the WAL-off arm matching
-    the committed baseline bit-for-bit — the wiring of the redesigned
-    write surface costs nothing when no log is attached (the seven
-    pre-WAL baselines gate the same property on their own workloads).
+    The selftune advisor flips the global obs switch on for its own
+    observation plane, so the switch is restored afterwards.
     """
+    from repro import obs
+
+    kwargs = dict(gate.config)
+    if gate.capture_events:
+        kwargs["capture_events"] = capture_events
+    was_enabled = obs.is_enabled()
+    try:
+        result = importlib.import_module(f"repro.bench.{name}").run(**kwargs)
+    finally:
+        obs.set_enabled(was_enabled)
+    return result, gate.metrics(result.meta), result.meta
+
+
+def _failed_checks(label: str, checks, meta: dict) -> list:
     failures = []
-    if not meta["results_identical"]:
-        failures.append(
-            "wal: digests diverged across arms — the WAL must change "
-            "cost accounting, never answers"
-        )
-    if meta["overhead_saving"] < WAL_SAVING_FLOOR:
-        failures.append(
-            f"wal: group-commit overhead saving "
-            f"{meta['overhead_saving']:.3f} vs per-op fsync below floor "
-            f"{WAL_SAVING_FLOOR} at group size {WAL_SMOKE['group_size']}"
-        )
-    if not meta["recovery_match"]:
-        failures.append(
-            "wal: recovered database diverged from the committed-prefix "
-            "reference replay (kill + recover differential)"
-        )
-    if not meta["recovery_deterministic"]:
-        failures.append(
-            "wal: crash/recover cycle did not replay to identical "
-            "digests and reports across runs"
-        )
-    if meta["records_discarded"] == 0:
-        failures.append(
-            "wal: scripted kill discarded no volatile records — the "
-            "crash landed on a group boundary and proves nothing"
-        )
-    for name, value in metrics.items():
-        base = baseline.get(name)
-        if base is None:
-            failures.append(f"{name}: missing from baseline (run --update)")
-            continue
-        if value > base * (1 + TOLERANCE):
+    for entry in checks:
+        try:
+            ok = entry.holds(meta, entry.bound)
+        except (KeyError, TypeError) as exc:
+            ok, detail = False, f"not evaluable: {exc!r}"
+        else:
+            try:  # a check's name is "<meta path> <op>"
+                detail = f"observed {_at(meta, entry.name.split()[0])!r}"
+            except (KeyError, TypeError):
+                detail = ""
+        if not ok:
             failures.append(
-                f"{name}: {value:.1f} cost units vs baseline {base:.1f} "
-                f"(+{(value / base - 1) * 100:.1f}%, tolerance "
-                f"{TOLERANCE * 100:.0f}%)"
-            )
-        elif round(value, 4) != base:
-            failures.append(
-                f"zero-overhead: {name} = {value!r} with observability "
-                f"disabled, baseline {base!r} (must match exactly)"
+                f"{label}: {entry.name} {entry.bound!r} violated ({detail})"
             )
     return failures
 
 
-def check_wal_enabled_replay(base_metrics: dict) -> list:
-    """Replay the WAL smoke with observability on: identical costs, and
-    the append/commit/replay activity must be visible as events."""
-    from repro import obs
-
-    observer = None
-    was_enabled = obs.is_enabled()
-    obs.set_enabled(True)
-    try:
-        observer = obs.Observer()
-        _, enabled_metrics, meta = run_wal_smoke(capture_events=True)
-    finally:
-        obs.set_enabled(was_enabled)
-        if observer is not None:
-            observer.close()
-
-    failures = []
-    for name, value in enabled_metrics.items():
-        if value != base_metrics.get(name):
+def check_gate(name: str, gate: Gate, metrics: dict, meta: dict,
+               baseline: dict) -> list:
+    """Contract checks plus the exact baseline rule for one gate."""
+    failures = _failed_checks(name, gate.checks, meta)
+    stored = {k: v for k, v in baseline.items() if k != "config"}
+    for key in sorted(metrics.keys() | stored.keys()):
+        if key not in stored:
+            failures.append(f"{key}: missing from baseline (run --update)")
+        elif key not in metrics:
+            failures.append(f"{key}: in the baseline but not measured")
+        elif round(metrics[key], 4) != stored[key]:
+            value, base = metrics[key], stored[key]
+            drift = f"{(value / base - 1) * 100:+.4f}%" if base else "n/a"
             failures.append(
-                f"enabled-replay: {name} = {value!r} with observability "
-                f"enabled vs {base_metrics.get(name)!r} disabled "
-                f"(instrumentation must not charge cost units)"
+                f"{key}: {value!r} vs baseline {base!r} ({drift}; must "
+                f"match exactly at 4 decimals)"
             )
-    records = observer.registry.get("repro_wal_records_total")
-    if records is None or records.total() == 0:
-        failures.append(
-            "enabled-replay: no wal record metrics recorded — emission "
-            "is wired wrong"
-        )
-    events = meta["crash_events"]
-    if not events.get("wal_append"):
-        failures.append(
-            "enabled-replay: no wal_append events captured in the "
-            "crash arm"
-        )
-    if not events.get("group_commit"):
-        failures.append(
-            "enabled-replay: no group_commit events captured"
-        )
-    if not events.get("recovery_replay"):
-        failures.append(
-            "enabled-replay: no recovery_replay event captured — the "
-            "recovery was invisible"
-        )
-    if not failures:
-        print(
-            f"wal enabled-replay: cost identical; "
-            f"{events['wal_append']} wal_append, "
-            f"{events['group_commit']} group_commit and "
-            f"{events['recovery_replay']} recovery_replay events captured"
-        )
     return failures
 
 
-def run_selftune_smoke():
-    """The self-tuning smoke over the five-scenario adversarial pack.
-
-    The advisor flips the global obs switch on for its own observation
-    plane (emission stays cost-model-silent), so the switch is restored
-    afterwards — the other gates' disabled base runs must stay disabled.
-    """
-    from repro import obs
-    from repro.bench import selftune
-
-    was_enabled = obs.is_enabled()
-    try:
-        result = selftune.run(**SELFTUNE_SMOKE)
-    finally:
-        obs.set_enabled(was_enabled)
-    meta = result.meta
-    metrics = {}
-    total_self = 0.0
-    total_best = 0.0
-    for name, verdict in sorted(meta["scenarios"].items()):
-        metrics[f"selftune.{name}.self_cost_units"] = (
-            verdict["self_cost_units"]
-        )
-        metrics[f"selftune.{name}.best_static_units"] = (
-            verdict["best_static_units"]
-        )
-        total_self += verdict["self_cost_units"]
-        total_best += verdict["best_static_units"]
-    metrics["selftune.self_cost_units"] = round(total_self, 2)
-    metrics["selftune.best_static_cost_units"] = round(total_best, 2)
-    return result, metrics, meta
+def _captured(observer, spec: str) -> list:
+    kind, _, direction = spec.partition(":")
+    return [event for event in observer.event_log(kind)
+            if not direction or event.direction == direction]
 
 
-def check_selftune(metrics: dict, meta: dict, baseline: dict) -> list:
-    """Dominance contract + cost-regression checks for the advisor smoke.
-
-    Contract: (a) every arm of every scenario returns identical query
-    answers, (b) the self-tuned arm's total weighted cost is at or
-    below the *best* static arm on all five scenarios — graded post-hoc
-    against the sweep's luckiest entry — and strictly below on at least
-    the acceptance floor, (c) the advisor actually acted on every
-    scenario (a zero-action pass would be dominance by coincidence),
-    and (d) the usual regression tolerance plus exact-match
-    reproducibility against the committed baseline (all arms are
-    deterministic, so any drift at all means the economics changed).
-    """
-    failures = []
-    if not meta["results_identical"]:
-        failures.append(
-            "selftune: query answers diverged across arms — tuning must "
-            "change cost accounting, never answers"
-        )
-    losses = [
-        f"{name} ({v['self_cost_units']:.0f} vs "
-        f"{v['best_static_units']:.0f} {v['best_static_label']})"
-        for name, v in meta["scenarios"].items()
-        if not v["dominates"]
+def check_replay(name: str, gate: Gate, base_metrics: dict,
+                 metrics: dict, meta: dict, observer) -> list:
+    """The enabled replay must cost exactly the disabled run and show
+    every expectation of the spec."""
+    label = f"{name} enabled-replay"
+    failures = [
+        f"{label}: {key} = {metrics.get(key)!r} with observability enabled "
+        f"vs {base_metrics.get(key)!r} disabled (instrumentation must not "
+        f"charge cost units)"
+        for key in sorted(metrics.keys() | base_metrics.keys())
+        if metrics.get(key) != base_metrics.get(key)
     ]
-    if losses:
-        failures.append(
-            "selftune: self-tuned arm lost to the best static arm on "
-            + ", ".join(losses)
-        )
-    if meta["strict_wins"] < SELFTUNE_STRICT_WINS_FLOOR:
-        failures.append(
-            f"selftune: only {meta['strict_wins']} strict wins vs the "
-            f"best static arm, floor {SELFTUNE_STRICT_WINS_FLOOR}"
-        )
-    idle = [
-        name for name, v in meta["scenarios"].items()
-        if v["actions_applied"] == 0
-    ]
-    if idle:
-        failures.append(
-            "selftune: advisor fired no action on "
-            + ", ".join(sorted(idle))
-        )
-    for name, value in metrics.items():
-        base = baseline.get(name)
-        if base is None:
-            failures.append(f"{name}: missing from baseline (run --update)")
-            continue
-        if value > base * (1 + TOLERANCE):
-            failures.append(
-                f"{name}: {value:.1f} cost units vs baseline {base:.1f} "
-                f"(+{(value / base - 1) * 100:.1f}%, tolerance "
-                f"{TOLERANCE * 100:.0f}%)"
-            )
-        elif round(value, 4) != base:
-            failures.append(
-                f"zero-overhead: {name} = {value!r} with observability "
-                f"disabled, baseline {base!r} (must match exactly)"
-            )
+    for metric in gate.replay_metrics:
+        instrument = observer.registry.get(metric)
+        if instrument is None or instrument.total() == 0:
+            failures.append(f"{label}: {metric} never recorded")
+    counts = {spec: len(_captured(observer, spec))
+              for spec in gate.replay_events}
+    failures += [f"{label}: no {spec} events captured"
+                 for spec, count in counts.items() if count == 0]
+    failures += _failed_checks(label, gate.replay_checks, meta)
+    if not failures:
+        seen = [f"{metric} = {observer.registry.get(metric).total():g}"
+                for metric in gate.replay_metrics]
+        seen += [f"{count} {spec} events" for spec, count in counts.items()]
+        print("; ".join([f"{label}: cost identical", *seen]))
     return failures
 
 
-def check_selftune_enabled_replay(base_metrics: dict) -> list:
-    """Replay the advisor smoke with an observer attached: identical
-    costs, and the probe/action/payback loop must be visible as
-    ``tuning_*`` events and ``repro_tuning_*`` metrics."""
+def replay_gate(name: str, gate: Gate, base_metrics: dict) -> list:
+    """Re-run the gate with obs enabled and an ``Observer`` attached."""
     from repro import obs
 
     observer = None
@@ -580,700 +400,12 @@ def check_selftune_enabled_replay(base_metrics: dict) -> list:
     obs.set_enabled(True)
     try:
         observer = obs.Observer()
-        _, enabled_metrics, _ = run_selftune_smoke()
+        _, metrics, meta = run_gate(name, gate, capture_events=True)
     finally:
         obs.set_enabled(was_enabled)
         if observer is not None:
             observer.close()
-
-    failures = []
-    for name, value in enabled_metrics.items():
-        if value != base_metrics.get(name):
-            failures.append(
-                f"enabled-replay: {name} = {value!r} with observability "
-                f"enabled vs {base_metrics.get(name)!r} disabled "
-                f"(instrumentation must not charge cost units)"
-            )
-    actions_metric = observer.registry.get("repro_tuning_actions_total")
-    if actions_metric is None or actions_metric.total() == 0:
-        failures.append(
-            "enabled-replay: no repro_tuning_actions_total metrics "
-            "recorded — emission is wired wrong"
-        )
-    probes = observer.event_log("tuning_probe")
-    if len(probes) == 0:
-        failures.append("enabled-replay: no tuning_probe events captured")
-    actions = observer.event_log("tuning_action")
-    if len(actions) == 0:
-        failures.append(
-            "enabled-replay: no tuning_action events captured — the "
-            "advisor's decisions were invisible"
-        )
-    if not failures:
-        print(
-            f"selftune enabled-replay: cost identical; "
-            f"{len(probes)} tuning_probe and {len(actions)} "
-            f"tuning_action events captured"
-        )
-    return failures
-
-
-def check_cluster(metrics: dict, meta: dict, baseline: dict) -> list:
-    """Divergent-replication contract + cost-regression checks.
-
-    Contract: (a) identical results on every arm, (b) the divergent
-    3-replica cluster strictly beating three identical replicas at
-    equal total memory by at least the acceptance floor, (c)
-    ``replicas=ReplicaConfig(replicas=1)`` byte-identical to the plain
-    index (cost units, results and index bytes), and (d) the scripted
-    mid-workload outage replaying deterministically across repeats.
-    """
-    failures = []
-    if not meta["results_identical"]:
-        failures.append(
-            "cluster: result sets diverged across arms — replica "
-            "routing must change cost accounting, never answers"
-        )
-    if meta["divergent_saving"] < CLUSTER_SAVING_FLOOR:
-        failures.append(
-            f"cluster: divergent saving {meta['divergent_saving']:.3f} "
-            f"vs uniform replicas below floor {CLUSTER_SAVING_FLOOR} "
-            "at equal total memory"
-        )
-    if not meta["r1_exact"]:
-        failures.append(
-            "cluster: replicas=1 arm did not reproduce the plain index "
-            "exactly (single-replica passthrough contract)"
-        )
-    if not meta["failover_deterministic"]:
-        failures.append(
-            "cluster: scripted-outage arm did not replay to identical "
-            "results and cost units (failover determinism contract)"
-        )
-    for name, value in metrics.items():
-        base = baseline.get(name)
-        if base is None:
-            failures.append(f"{name}: missing from baseline (run --update)")
-            continue
-        if value > base * (1 + TOLERANCE):
-            failures.append(
-                f"{name}: {value:.1f} cost units vs baseline {base:.1f} "
-                f"(+{(value / base - 1) * 100:.1f}%, tolerance "
-                f"{TOLERANCE * 100:.0f}%)"
-            )
-        elif round(value, 4) != base:
-            failures.append(
-                f"zero-overhead: {name} = {value!r} with observability "
-                f"disabled, baseline {base!r} (must match exactly)"
-            )
-    return failures
-
-
-def check_cluster_enabled_replay(base_metrics: dict) -> list:
-    """Replay the cluster smoke with observability on: identical costs,
-    and the routing/failover activity must be visible as events."""
-    from repro import obs
-
-    observer = None
-    was_enabled = obs.is_enabled()
-    obs.set_enabled(True)
-    try:
-        observer = obs.Observer()
-        _, enabled_metrics, meta = run_cluster_smoke(capture_events=True)
-    finally:
-        obs.set_enabled(was_enabled)
-        if observer is not None:
-            observer.close()
-
-    failures = []
-    for name, value in enabled_metrics.items():
-        if value != base_metrics.get(name):
-            failures.append(
-                f"enabled-replay: {name} = {value!r} with observability "
-                f"enabled vs {base_metrics.get(name)!r} disabled "
-                f"(instrumentation must not charge cost units)"
-            )
-    routes = observer.registry.get("repro_replica_routes_total")
-    if routes is None or routes.total() == 0:
-        failures.append(
-            "enabled-replay: no replica route metrics recorded — "
-            "emission is wired wrong"
-        )
-    events = meta["failover_events"]
-    if not events.get("replica_route"):
-        failures.append(
-            "enabled-replay: no replica_route events captured in the "
-            "failover arm"
-        )
-    if not events.get("replica_failover"):
-        failures.append(
-            "enabled-replay: no replica_failover events captured — the "
-            "scripted outage was invisible"
-        )
-    if not events.get("cluster_budget"):
-        failures.append(
-            "enabled-replay: no cluster_budget event captured at build"
-        )
-    if not failures:
-        print(
-            f"cluster enabled-replay: cost identical; "
-            f"{events['replica_route']} replica_route and "
-            f"{events['replica_failover']} replica_failover events "
-            f"captured"
-        )
-    return failures
-
-
-def check_learned(metrics: dict, meta: dict, baseline: dict) -> list:
-    """Frontier-contract + cost-regression checks for the learned smoke.
-
-    Contract: (a) result sets identical on every arm, (b) learned
-    leaves strictly smaller than full AND strictly cheaper per
-    sorted-probe lookup than compact (a genuine third frontier point),
-    (c) the 3-way elastic arm never worse than the 2-way arm on either
-    workload at the same soft bound, and (d) an explicit two-kind
-    ``leaf_kinds`` build reproducing the default-config event counts
-    exactly (learned-off passthrough).
-    """
-    failures = []
-    if not meta["results_identical"]:
-        failures.append(
-            "learned: result sets diverged across leaf kinds — the "
-            "representation must change cost accounting, never answers"
-        )
-    if not meta["learned_mem_lt_full"]:
-        failures.append(
-            "learned: learned arm not strictly smaller than full arm "
-            f"({meta['arms']['learned']['index_bytes']} vs "
-            f"{meta['arms']['full']['index_bytes']} bytes)"
-        )
-    if not meta["learned_cost_lt_compact"]:
-        failures.append(
-            "learned: learned arm not strictly cheaper than compact on "
-            "sorted probes "
-            f"({meta['arms']['learned']['sorted_cost_per_lookup']:.4f} vs "
-            f"{meta['arms']['compact']['sorted_cost_per_lookup']:.4f} "
-            "units/lookup)"
-        )
-    if not meta["elastic3_not_worse"]:
-        failures.append(
-            "learned: 3-way elastic arm worse than 2-way at the same "
-            "soft bound "
-            f"(sorted {meta['arms']['elastic-3way']['sorted_cost_per_lookup']:.4f}"
-            f" vs {meta['arms']['elastic-2way']['sorted_cost_per_lookup']:.4f},"
-            f" zipf {meta['arms']['elastic-3way']['zipf_cost_per_lookup']:.4f}"
-            f" vs {meta['arms']['elastic-2way']['zipf_cost_per_lookup']:.4f})"
-        )
-    if not meta["learned_off_exact"]:
-        failures.append(
-            "learned: explicit leaf_kinds=('standard', 'compact') build "
-            "did not reproduce the default-config costs exactly "
-            "(learned-off passthrough contract)"
-        )
-    for name, value in metrics.items():
-        base = baseline.get(name)
-        if base is None:
-            failures.append(f"{name}: missing from baseline (run --update)")
-            continue
-        if value > base * (1 + TOLERANCE):
-            failures.append(
-                f"{name}: {value:.1f} cost units vs baseline {base:.1f} "
-                f"(+{(value / base - 1) * 100:.1f}%, tolerance "
-                f"{TOLERANCE * 100:.0f}%)"
-            )
-        elif round(value, 4) != base:
-            failures.append(
-                f"zero-overhead: {name} = {value!r} with observability "
-                f"disabled, baseline {base!r} (must match exactly)"
-            )
-    return failures
-
-
-def check_learned_enabled_replay(base_metrics: dict) -> list:
-    """Replay the learned smoke with observability on: identical costs,
-    and the retrain/conversion activity must be visible as events."""
-    from repro import obs
-
-    observer = None
-    was_enabled = obs.is_enabled()
-    obs.set_enabled(True)
-    try:
-        observer = obs.Observer()
-        _, enabled_metrics, _ = run_learned_smoke()
-    finally:
-        obs.set_enabled(was_enabled)
-        if observer is not None:
-            observer.close()
-
-    failures = []
-    for name, value in enabled_metrics.items():
-        if value != base_metrics.get(name):
-            failures.append(
-                f"enabled-replay: {name} = {value!r} with observability "
-                f"enabled vs {base_metrics.get(name)!r} disabled "
-                f"(instrumentation must not charge cost units)"
-            )
-    retrains = observer.registry.get("repro_leaf_retrains_total")
-    if retrains is None or retrains.total() == 0:
-        failures.append(
-            "enabled-replay: no leaf retrain metrics recorded — emission "
-            "is wired wrong"
-        )
-    events = observer.event_log("leaf_retrain")
-    if len(events) == 0:
-        failures.append("enabled-replay: no leaf_retrain events captured")
-    conversions = [
-        e for e in observer.event_log("leaf_conversion")
-        if e.direction == "to_learned"
-    ]
-    if len(conversions) == 0:
-        failures.append(
-            "enabled-replay: no to_learned leaf_conversion events captured"
-        )
-    if not failures:
-        print(
-            f"learned enabled-replay: cost identical; "
-            f"{len(events)} leaf_retrain and {len(conversions)} "
-            f"to_learned conversion events captured"
-        )
-    return failures
-
-
-def check_mlp(metrics: dict, meta: dict, baseline: dict) -> list:
-    """Wave-pricing contract + cost-regression checks for the MLP smoke.
-
-    Contract: (a) result sets byte-identical to serial pricing on every
-    arm, (b) wave-priced batched descents strictly cheaper than serial
-    (scalar) pricing at every W >= 2, (c) W=1 reproducing today's
-    batched counts exactly (the passthrough that keeps every pre-wave
-    BENCH baseline byte-identical), and (d) the elastic W=4 arm beating
-    the flat key_load-only MLP pricing by >= the acceptance floor.
-    """
-    failures = []
-    for kind in MLP_SMOKE["indexes"]:
-        arm = meta[kind]
-        if not arm["results_identical"]:
-            failures.append(
-                f"mlp: {kind} wave-priced results diverged — wave pricing "
-                "must change cost accounting, never answers"
-            )
-        if not arm["w1_exact"]:
-            failures.append(
-                f"mlp: {kind} W=1 arm did not reproduce plain batched "
-                "event counts exactly (serial-passthrough contract)"
-            )
-        scalar = arm["scalar_cost_units"]
-        for width, cost in arm["per_width_cost_units"].items():
-            if int(width) >= 2 and cost >= scalar:
-                failures.append(
-                    f"mlp: {kind} W={width} wave pricing {cost:.1f} not "
-                    f"strictly below serial pricing {scalar:.1f}"
-                )
-    saving = meta["elastic"]["saving_at_w4_vs_batched"]
-    if saving < MLP_SAVING_FLOOR:
-        failures.append(
-            f"mlp: elastic W=4 saving {saving:.3f} vs batched pricing "
-            f"below floor {MLP_SAVING_FLOOR}"
-        )
-    for name, value in metrics.items():
-        base = baseline.get(name)
-        if base is None:
-            failures.append(f"{name}: missing from baseline (run --update)")
-            continue
-        if value > base * (1 + TOLERANCE):
-            failures.append(
-                f"{name}: {value:.1f} cost units vs baseline {base:.1f} "
-                f"(+{(value / base - 1) * 100:.1f}%, tolerance "
-                f"{TOLERANCE * 100:.0f}%)"
-            )
-        elif round(value, 4) != base:
-            failures.append(
-                f"zero-overhead: {name} = {value!r} with observability "
-                f"disabled, baseline {base!r} (must match exactly)"
-            )
-    return failures
-
-
-def check_mlp_enabled_replay(base_metrics: dict) -> list:
-    """Replay the MLP smoke with observability on: identical costs, and
-    the wave activity must be visible as mlp_wave events and metrics."""
-    from repro import obs
-
-    observer = None
-    was_enabled = obs.is_enabled()
-    obs.set_enabled(True)
-    try:
-        observer = obs.Observer()
-        _, enabled_metrics, _ = run_mlp_smoke()
-    finally:
-        obs.set_enabled(was_enabled)
-        if observer is not None:
-            observer.close()
-
-    failures = []
-    for name, value in enabled_metrics.items():
-        if value != base_metrics.get(name):
-            failures.append(
-                f"enabled-replay: {name} = {value!r} with observability "
-                f"enabled vs {base_metrics.get(name)!r} disabled "
-                f"(instrumentation must not charge cost units)"
-            )
-    waves = observer.registry.get("repro_mlp_waves_total")
-    if waves is None or waves.total() == 0:
-        failures.append(
-            "enabled-replay: no mlp wave metrics recorded — emission is "
-            "wired wrong"
-        )
-    events = observer.event_log("mlp_wave")
-    if len(events) == 0:
-        failures.append("enabled-replay: no mlp_wave events captured")
-    if not failures:
-        print(
-            f"mlp enabled-replay: cost identical; "
-            f"{waves.total():.0f} waves and {len(events)} mlp_wave "
-            f"events captured"
-        )
-    return failures
-
-
-def check_cache(metrics: dict, meta: dict, baseline: dict) -> list:
-    """Cache-contract + cost-regression checks for the cache smoke."""
-    failures = []
-    if not meta["results_identical"]:
-        failures.append(
-            "cache: cached results diverged from uncached — the cache "
-            "must change cost accounting, never answers"
-        )
-    for workload in ("zipf", "iotta"):
-        saving = meta[f"{workload}_cost_saving"]
-        if saving < CACHE_SAVING_FLOOR:
-            failures.append(
-                f"cache: {workload} saving {saving:.3f} below floor "
-                f"{CACHE_SAVING_FLOOR} at equal total memory"
-            )
-        if meta[f"{workload}_hit_rate"] <= 0.0:
-            failures.append(f"cache: {workload} arm recorded no hits")
-    for name, value in metrics.items():
-        if name.endswith("cost_saving") or name.endswith("hit_rate"):
-            continue
-        base = baseline.get(name)
-        if base is None:
-            failures.append(f"{name}: missing from baseline (run --update)")
-            continue
-        if value > base * (1 + TOLERANCE):
-            failures.append(
-                f"{name}: {value:.1f} cost units vs baseline {base:.1f} "
-                f"(+{(value / base - 1) * 100:.1f}%, tolerance "
-                f"{TOLERANCE * 100:.0f}%)"
-            )
-        elif "base_cost" in name and round(value, 4) != base:
-            # The cache-off arm runs the exact pre-cache read path; any
-            # drift at all means the cache wiring leaked into it.
-            failures.append(
-                f"zero-overhead: {name} = {value!r} with no cache "
-                f"attached, baseline {base!r} (must match exactly)"
-            )
-    return failures
-
-
-def check_cache_enabled_replay(base_metrics: dict) -> list:
-    """Replay the cache smoke with observability on: identical costs,
-    and the cache's activity must be visible as events and metrics."""
-    from repro import obs
-
-    observer = None
-    was_enabled = obs.is_enabled()
-    obs.set_enabled(True)
-    try:
-        observer = obs.Observer()
-        _, enabled_metrics, meta = run_cache_smoke()
-    finally:
-        obs.set_enabled(was_enabled)
-        if observer is not None:
-            observer.close()
-
-    failures = []
-    for name, value in enabled_metrics.items():
-        if value != base_metrics.get(name):
-            failures.append(
-                f"enabled-replay: {name} = {value!r} with observability "
-                f"enabled vs {base_metrics.get(name)!r} disabled "
-                f"(instrumentation must not charge cost units)"
-            )
-    events = observer.registry.get("repro_cache_events_total")
-    if events is None or events.total() == 0:
-        failures.append(
-            "enabled-replay: no cache events recorded — emission is "
-            "wired wrong"
-        )
-    hit_rate = observer.registry.get("repro_cache_hit_rate")
-    if hit_rate is None or hit_rate.total() == 0:
-        failures.append("enabled-replay: cache hit-rate gauge never set")
-    if not failures:
-        print(
-            f"cache enabled-replay: cost identical; "
-            f"{events.total():.0f} cache events captured"
-        )
-    return failures
-
-
-def check_parallel(metrics: dict, meta: dict, baseline: dict) -> list:
-    """Executor-contract + cost-regression checks for the parallel smoke."""
-    failures = []
-    if not meta["results_identical"]:
-        failures.append(
-            "parallel: results diverged from serial — the executor must "
-            "change cost accounting, never answers"
-        )
-    one = meta["per_shards"]["1"]
-    if one["parallel_lookup_cost"] != one["serial_lookup_cost"] or \
-            one["parallel_scan_cost"] != one["serial_scan_cost"]:
-        failures.append(
-            "parallel: single-shard scatter not charged exactly serial "
-            f"cost ({one['parallel_lookup_cost']:.4f} vs "
-            f"{one['serial_lookup_cost']:.4f} lookup units)"
-        )
-    four = meta["per_shards"]["4"]
-    if four["parallel_lookup_cost"] >= four["serial_lookup_cost"]:
-        failures.append(
-            "parallel: critical path not below serial sum on 4-shard "
-            f"batched lookups ({four['parallel_lookup_cost']:.1f} vs "
-            f"{four['serial_lookup_cost']:.1f} cost units)"
-        )
-    if four["critical_path_units"] >= four["serial_sum_units"]:
-        failures.append(
-            "parallel: executor ledger critical path "
-            f"{four['critical_path_units']:.1f} not below serial sum "
-            f"{four['serial_sum_units']:.1f} at 4 shards"
-        )
-    for name, value in metrics.items():
-        base = baseline.get(name)
-        if base is None:
-            failures.append(f"{name}: missing from baseline (run --update)")
-            continue
-        if value > base * (1 + TOLERANCE):
-            failures.append(
-                f"{name}: {value:.1f} cost units vs baseline {base:.1f} "
-                f"(+{(value / base - 1) * 100:.1f}%, tolerance "
-                f"{TOLERANCE * 100:.0f}%)"
-            )
-        elif round(value, 4) != base:
-            failures.append(
-                f"zero-overhead: {name} = {value!r} with observability "
-                f"disabled, baseline {base!r} (must match exactly)"
-            )
-    return failures
-
-
-def check_parallel_enabled_replay(base_metrics: dict) -> list:
-    """Replay the parallel smoke with observability on: identical costs,
-    and the dispatch/gather activity must be visible as metrics."""
-    from repro import obs
-
-    observer = None
-    was_enabled = obs.is_enabled()
-    obs.set_enabled(True)
-    try:
-        observer = obs.Observer()
-        _, enabled_metrics, meta = run_parallel_smoke()
-    finally:
-        obs.set_enabled(was_enabled)
-        if observer is not None:
-            observer.close()
-
-    failures = []
-    for name, value in enabled_metrics.items():
-        if value != base_metrics.get(name):
-            failures.append(
-                f"enabled-replay: {name} = {value!r} with observability "
-                f"enabled vs {base_metrics.get(name)!r} disabled "
-                f"(instrumentation must not charge cost units)"
-            )
-    if not meta["results_identical"]:
-        failures.append(
-            "enabled-replay: parallel results diverged from serial"
-        )
-    dispatch = observer.registry.get("repro_shard_dispatch_ops_total")
-    if dispatch is None or dispatch.total() == 0:
-        failures.append(
-            "enabled-replay: no shard dispatch metrics recorded"
-        )
-    gathers = observer.event_log("parallel_gather")
-    if len(gathers) == 0:
-        failures.append(
-            "enabled-replay: no parallel_gather events captured"
-        )
-    if not failures:
-        print(
-            f"parallel enabled-replay: cost identical; "
-            f"{dispatch.total():.0f} shard dispatch ops and "
-            f"{len(gathers)} parallel_gather events captured"
-        )
-    return failures
-
-
-def check_shard(metrics: dict, meta: dict, baseline: dict) -> list:
-    """Arbiter dominance + cost-regression checks for the sharded smoke."""
-    failures = []
-    if meta["arbiter_cost_units"] >= meta["static_cost_units"]:
-        failures.append(
-            "shard: arbiter does not dominate static split "
-            f"({meta['arbiter_cost_units']:.1f} vs "
-            f"{meta['static_cost_units']:.1f} cost units)"
-        )
-    if meta["cost_saving"] < SHARD_SAVING_FLOOR:
-        failures.append(
-            f"shard: arbiter saving {meta['cost_saving']:.3f} below floor "
-            f"{SHARD_SAVING_FLOOR}"
-        )
-    if meta["rebalances"] == 0:
-        failures.append("shard: arbiter never rebalanced in the smoke run")
-    for name in ("shard.static_cost_units", "shard.arbiter_cost_units"):
-        base = baseline.get(name)
-        if base is None:
-            failures.append(f"{name}: missing from baseline (run --update)")
-            continue
-        value = metrics[name]
-        if value > base * (1 + TOLERANCE):
-            failures.append(
-                f"{name}: {value:.1f} cost units vs baseline {base:.1f} "
-                f"(+{(value / base - 1) * 100:.1f}%, tolerance "
-                f"{TOLERANCE * 100:.0f}%)"
-            )
-        elif round(value, 4) != base:
-            # Same zero-overhead contract as the batch smoke: with
-            # observability disabled the costs must be bit-identical.
-            failures.append(
-                f"zero-overhead: {name} = {value!r} with observability "
-                f"disabled, baseline {base!r} (must match exactly)"
-            )
-    return failures
-
-
-def check_shard_enabled_replay(base_metrics: dict) -> list:
-    """Replay the sharded smoke with observability on: identical costs,
-    and the rebalance decisions must be visible as events."""
-    from repro import obs
-
-    was_enabled = obs.is_enabled()
-    obs.set_enabled(True)
-    try:
-        _, enabled_metrics, meta = run_shard_smoke()
-    finally:
-        obs.set_enabled(was_enabled)
-
-    failures = []
-    for name, value in enabled_metrics.items():
-        if value != base_metrics.get(name):
-            failures.append(
-                f"enabled-replay: {name} = {value!r} with observability "
-                f"enabled vs {base_metrics.get(name)!r} disabled "
-                f"(instrumentation must not charge cost units)"
-            )
-    if meta["rebalance_events"] == 0:
-        failures.append(
-            "enabled-replay: no budget_rebalance events captured — the "
-            "arbiter's decisions must be observable"
-        )
-    if meta["rebalance_events"] != meta["rebalances"]:
-        failures.append(
-            f"enabled-replay: {meta['rebalance_events']} budget_rebalance "
-            f"events vs {meta['rebalances']} rebalances counted"
-        )
-    if not failures:
-        print(
-            f"shard enabled-replay: cost identical; "
-            f"{meta['rebalance_events']} budget_rebalance events captured"
-        )
-    return failures
-
-
-def check(metrics: dict, baseline: dict) -> list:
-    failures = []
-    for name, value in metrics.items():
-        if name.endswith("cost_saving"):
-            if value < SAVING_FLOOR:
-                failures.append(
-                    f"{name}: saving {value:.3f} below floor {SAVING_FLOOR}"
-                )
-            continue
-        base = baseline.get(name)
-        if base is None:
-            failures.append(f"{name}: missing from baseline (run --update)")
-            continue
-        if value > base * (1 + TOLERANCE):
-            failures.append(
-                f"{name}: {value:.1f} cost units vs baseline {base:.1f} "
-                f"(+{(value / base - 1) * 100:.1f}%, tolerance "
-                f"{TOLERANCE * 100:.0f}%)"
-            )
-    return failures
-
-
-def check_zero_overhead(metrics: dict, baseline: dict) -> list:
-    """Obs-disabled cost units must equal the baseline bit-for-bit.
-
-    The baseline stores metrics rounded to 4 decimals, so equality is
-    checked at that precision — any drift at all (not just beyond the
-    regression tolerance) fails, because a drift with observability
-    disabled means the instrumentation has leaked into the hot path.
-    """
-    from repro import obs
-
-    failures = []
-    if obs.is_enabled():
-        return ["observability unexpectedly enabled during the base run"]
-    for name, value in metrics.items():
-        base = baseline.get(name)
-        if base is None:
-            continue  # reported by check() already
-        if round(value, 4) != base:
-            failures.append(
-                f"zero-overhead: {name} = {value!r} with observability "
-                f"disabled, baseline {base!r} (must match exactly)"
-            )
-    return failures
-
-
-def check_enabled_replay() -> list:
-    """Replay the smoke with observability on: same cost, events flow."""
-    from repro import obs
-
-    observer = None
-    was_enabled = obs.is_enabled()
-    obs.set_enabled(True)
-    try:
-        observer = obs.Observer()
-        _, enabled_metrics = run_smoke()
-    finally:
-        obs.set_enabled(was_enabled)
-        if observer is not None:
-            observer.close()
-
-    failures = []
-    base_run_metrics = check_enabled_replay.base_metrics
-    for name, value in enabled_metrics.items():
-        if value != base_run_metrics.get(name):
-            failures.append(
-                f"enabled-replay: {name} = {value!r} with observability "
-                f"enabled vs {base_run_metrics.get(name)!r} disabled "
-                f"(instrumentation must not charge cost units)"
-            )
-    if len(observer.events) == 0:
-        failures.append(
-            "enabled-replay: no events captured — emission is wired wrong"
-        )
-    dispatch = observer.registry.get("repro_batch_dispatch_ops_total")
-    if dispatch is None or dispatch.total() == 0:
-        failures.append(
-            "enabled-replay: no batch dispatch metrics recorded"
-        )
-    if not failures:
-        print(
-            f"enabled-replay: cost identical; {len(observer.events)} "
-            f"events captured"
-        )
-    return failures
+    return check_replay(name, gate, base_metrics, metrics, meta, observer)
 
 
 def smoke_deprecation_free_db_surface() -> int:
@@ -1339,54 +471,6 @@ def smoke_wallclock() -> int:
     )
 
 
-def _run_batch_gate():
-    result, metrics = run_smoke()
-    return result, metrics, None
-
-
-def _check_batch(metrics, meta, baseline):
-    return check(metrics, baseline) + check_zero_overhead(metrics, baseline)
-
-
-def _replay_batch(metrics, meta):
-    check_enabled_replay.base_metrics = metrics
-    return check_enabled_replay()
-
-
-#: The gate registry, in the order the mechanisms landed.  Each entry:
-#: (baseline path, smoke config, run fn, check fn, enabled-replay fn).
-#: ``run`` returns (result, metrics, meta); ``check`` takes
-#: (metrics, meta, baseline); ``replay`` takes (metrics, meta).
-GATES = {
-    "batch": (BASELINE_PATH, SMOKE, _run_batch_gate,
-              _check_batch, _replay_batch),
-    "shard": (SHARD_BASELINE_PATH, SHARD_SMOKE,
-              run_shard_smoke, check_shard,
-              lambda m, meta: check_shard_enabled_replay(m)),
-    "parallel": (PARALLEL_BASELINE_PATH, PARALLEL_SMOKE,
-                 run_parallel_smoke, check_parallel,
-                 lambda m, meta: check_parallel_enabled_replay(m)),
-    "cache": (CACHE_BASELINE_PATH, CACHE_SMOKE,
-              run_cache_smoke, check_cache,
-              lambda m, meta: check_cache_enabled_replay(m)),
-    "mlp": (MLP_BASELINE_PATH, MLP_SMOKE,
-            run_mlp_smoke, check_mlp,
-            lambda m, meta: check_mlp_enabled_replay(m)),
-    "learned": (LEARNED_BASELINE_PATH, LEARNED_SMOKE,
-                run_learned_smoke, check_learned,
-                lambda m, meta: check_learned_enabled_replay(m)),
-    "cluster": (CLUSTER_BASELINE_PATH, CLUSTER_SMOKE,
-                run_cluster_smoke, check_cluster,
-                lambda m, meta: check_cluster_enabled_replay(m)),
-    "wal": (WAL_BASELINE_PATH, WAL_SMOKE,
-            run_wal_smoke, check_wal,
-            lambda m, meta: check_wal_enabled_replay(m)),
-    "selftune": (SELFTUNE_BASELINE_PATH, SELFTUNE_SMOKE,
-                 run_selftune_smoke, check_selftune,
-                 lambda m, meta: check_selftune_enabled_replay(m)),
-}
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -1420,33 +504,37 @@ def main() -> int:
 
     if args.list:
         missing = 0
-        for gate, path in ALL_BASELINES:
-            present = os.path.exists(path)
+        for name, gate in GATES.items():
+            present = os.path.exists(os.path.join(REPO, gate.baseline))
             status = "ok" if present else "MISSING (run --update)"
-            print(f"{gate:<10} {os.path.basename(path):<20} {status}")
+            print(f"{name:<10} {gate.baseline:<20} {status}")
             missing += not present
         return 1 if missing else 0
 
     sys.path.insert(0, os.path.join(REPO, "src"))
+    from repro import obs
+
     selected = [
         name for name in GATES
         if args.only is None or name in args.only
     ]
 
+    failures = []
     runs = {}
     for name in selected:
-        _, _, run_gate, _, _ = GATES[name]
-        result, metrics, meta = run_gate()
+        if obs.is_enabled():
+            failures.append(f"{name}: observability enabled in the base run")
+        result, metrics, meta = run_gate(name, GATES[name])
         print(result.render())
         print()
         runs[name] = (metrics, meta)
 
     if args.update:
         for name in selected:
-            path, smoke_config, _, _, _ = GATES[name]
+            path = os.path.join(REPO, GATES[name].baseline)
             payload = {
                 "config": {k: list(v) if isinstance(v, tuple) else v
-                           for k, v in smoke_config.items()},
+                           for k, v in GATES[name].config.items()},
                 **{k: round(v, 4) for k, v in runs[name][0].items()},
             }
             with open(path, "w") as fh:
@@ -1455,23 +543,23 @@ def main() -> int:
             print(f"baseline written to {path}")
         return 0
 
-    failures = []
     for name in selected:
-        path, _, _, check_gate, replay_gate = GATES[name]
+        gate = GATES[name]
+        path = os.path.join(REPO, gate.baseline)
         if not os.path.exists(path):
             print(f"no baseline at {path}; run with --update first")
             return 1
         with open(path) as fh:
             baseline = json.load(fh)
         metrics, meta = runs[name]
-        failures.extend(check_gate(metrics, meta, baseline))
-        failures.extend(replay_gate(metrics, meta))
+        failures.extend(check_gate(name, gate, metrics, meta, baseline))
+        failures.extend(replay_gate(name, gate, metrics))
 
     for failure in failures:
         print(f"REGRESSION: {failure}")
     if not failures:
-        print("cost metrics within tolerance of baseline "
-              "(and bit-identical with observability disabled)")
+        print("cost metrics bit-identical to baseline and every gate "
+              "contract holds")
 
     print("\nDBTable read-surface smoke (-W error::DeprecationWarning):")
     if smoke_deprecation_free_db_surface() != 0:

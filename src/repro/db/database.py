@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cache import CacheConfig, IndexCache
@@ -310,8 +309,7 @@ class DBTable:
     # WriteBatch`es, so every mutation — scalar or staged — runs the
     # same facade -> WAL -> index pipeline; ``db.begin_batch()`` stages
     # several operations under one commit (one log append phase, one
-    # group-commit schedule).  The pre-redesign ``insert_many`` is a
-    # DeprecationWarning shim over ``insert_batch``.
+    # group-commit schedule).
 
     def insert(self, row: Sequence[int]) -> int:
         """Store a row and update every secondary index."""
@@ -325,16 +323,6 @@ class DBTable:
         batch = self.db.begin_batch()
         batch.insert_batch(self, rows)
         return batch.commit()
-
-    def insert_many(self, rows: Sequence[Sequence[int]]) -> List[int]:
-        """Deprecated spelling of :meth:`insert_batch`."""
-        warnings.warn(
-            "insert_many is deprecated; use insert_batch (or stage the "
-            "rows on db.begin_batch())",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.insert_batch(rows)
 
     def delete(self, tid: int) -> Tuple[int, ...]:
         """Remove a row from the store and every index."""
@@ -414,22 +402,34 @@ class DBTable:
     # ``scan`` / ``scan_batch`` for ranges.  Scans take ``count`` as a
     # keyword and ``include_rows=False`` turns a scan into an
     # included-column query (section 2) answered from index keys alone.
-    # The pre-redesign ``*_many`` / ``included_scan`` shims are gone;
-    # only the positional scan count retains a DeprecationWarning shim.
 
-    def get(self, index_name: str, values: Sequence[int]) -> Optional[Tuple]:
-        """Point query through an index; returns the row or None."""
+    def _read_index(self, index_name: str) -> SecondaryIndex:
+        """The named index, rebuilt first if the advisor parked it."""
         secondary = self.indexes[index_name]
         if secondary.parked:
             self.db.advisor.unpark(self, secondary)
+        return secondary
+
+    def _close_read(
+        self, secondary: SecondaryIndex, observe: str, ops: int, *args
+    ) -> None:
+        """Report the read to the advisor's ``observe`` hook (if tuning
+        is on) with ``args``, then advance the op clock by ``ops``."""
+        advisor = self.db.advisor
+        if advisor is not None:
+            getattr(advisor, observe)(
+                self.schema.name, secondary.name, *args
+            )
+        self.db._tick(ops)
+
+    def get(self, index_name: str, values: Sequence[int]) -> Optional[Tuple]:
+        """Point query through an index; returns the row or None."""
+        secondary = self._read_index(index_name)
         with self.db.trace_op(f"db.get[{index_name}]"):
             key = secondary.key_of_values(values)
             tid = secondary.index.lookup(key)
             row = self.table.row(tid) if tid is not None else None
-        advisor = self.db.advisor
-        if advisor is not None:
-            advisor.observe_point(self.schema.name, secondary.name, key)
-        self.db._tick(1)
+        self._close_read(secondary, "observe_point", 1, key)
         return row
 
     def get_batch(
@@ -437,9 +437,7 @@ class DBTable:
     ) -> List[Optional[Tuple]]:
         """Batched point queries through one index; row or ``None`` per
         entry, aligned with the input order."""
-        secondary = self.indexes[index_name]
-        if secondary.parked:
-            self.db.advisor.unpark(self, secondary)
+        secondary = self._read_index(index_name)
         with self.db.trace_op(f"db.get_batch[{index_name}]"):
             keys = [secondary.key_of_values(v) for v in values_batch]
             tids = secondary.executor.get_batch(keys)
@@ -447,31 +445,24 @@ class DBTable:
                 self.table.row(tid) if tid is not None else None
                 for tid in tids
             ]
-        advisor = self.db.advisor
-        if advisor is not None:
-            advisor.observe_batch(self.schema.name, secondary.name, keys)
-        self.db._tick(len(keys))
+        self._close_read(secondary, "observe_batch", len(keys), keys)
         return rows
 
     def scan(
         self,
         index_name: str,
         start_values: Sequence[int],
-        *legacy_count,
-        count: Optional[int] = None,
+        *,
+        count: int,
         include_rows: bool = True,
     ) -> Union[List[Tuple], List[bytes]]:
         """Range query from ``start_values`` in index order.
 
         Returns ``count`` rows, or — with ``include_rows=False`` — the
         index keys alone (an included-column query, section 2: no row
-        fetches on internal-key leaves).  ``count`` is keyword-only; the
-        old positional spelling still works but warns.
+        fetches on internal-key leaves).  ``count`` is keyword-only.
         """
-        count = self._scan_count(legacy_count, count)
-        secondary = self.indexes[index_name]
-        if secondary.parked:
-            self.db.advisor.unpark(self, secondary)
+        secondary = self._read_index(index_name)
         with self.db.trace_op(f"db.scan[{index_name}]"):
             start = secondary.key_of_values(start_values)
             items = secondary.index.scan(start, count)
@@ -479,20 +470,15 @@ class DBTable:
                 out = [self.table.row(tid) for _, tid in items]
             else:
                 out = [key for key, _ in items]
-        advisor = self.db.advisor
-        if advisor is not None:
-            advisor.observe_scan(
-                self.schema.name, secondary.name, start, count
-            )
-        self.db._tick(1)
+        self._close_read(secondary, "observe_scan", 1, start, count)
         return out
 
     def scan_batch(
         self,
         index_name: str,
         start_values_batch: Sequence[Sequence[int]],
-        *legacy_count,
-        count: Optional[int] = None,
+        *,
+        count: int,
         include_rows: bool = True,
     ) -> Union[List[List[Tuple]], List[List[bytes]]]:
         """Batched range queries: ``count`` results per start key.
@@ -500,10 +486,7 @@ class DBTable:
         Result lists align with the input order; ``include_rows=False``
         returns index keys instead of rows, as in :meth:`scan`.
         """
-        count = self._scan_count(legacy_count, count)
-        secondary = self.indexes[index_name]
-        if secondary.parked:
-            self.db.advisor.unpark(self, secondary)
+        secondary = self._read_index(index_name)
         with self.db.trace_op(f"db.scan_batch[{index_name}]"):
             starts = [secondary.key_of_values(v) for v in start_values_batch]
             batches = secondary.executor.scan_batch(starts, count)
@@ -514,30 +497,10 @@ class DBTable:
                 ]
             else:
                 out = [[key for key, _ in items] for items in batches]
-        advisor = self.db.advisor
-        if advisor is not None:
-            advisor.observe_scan_batch(
-                self.schema.name, secondary.name, starts, count
-            )
-        self.db._tick(len(starts))
+        self._close_read(
+            secondary, "observe_scan_batch", len(starts), starts, count
+        )
         return out
-
-    @staticmethod
-    def _scan_count(legacy_count: tuple, count: Optional[int]) -> int:
-        """Resolve keyword ``count`` vs. the deprecated positional form."""
-        if legacy_count:
-            if len(legacy_count) > 1 or count is not None:
-                raise TypeError("scan takes a single count, as a keyword")
-            warnings.warn(
-                "passing the scan count positionally is deprecated; "
-                "use count=<n>",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            return legacy_count[0]
-        if count is None:
-            raise TypeError("scan requires count=<n>")
-        return count
 
     def __len__(self) -> int:
         return len(self.table)

@@ -306,8 +306,8 @@ class TestReplicatedIndexes:
 
 
 class TestDeprecatedSpellings:
-    """The pre-redesign read shims are gone; only the positional scan
-    count keeps a DeprecationWarning shim."""
+    """The pre-redesign read shims and the positional scan count are
+    gone."""
 
     def make_filled(self):
         _, table = make_log_table()
@@ -322,11 +322,12 @@ class TestDeprecatedSpellings:
         for name in ("get_many", "scan_many", "included_scan"):
             assert not hasattr(table, name), name
 
-    def test_positional_scan_count_warns(self):
+    def test_positional_scan_count_rejected(self):
         table = self.make_filled()
-        with pytest.warns(DeprecationWarning, match="positionally"):
-            out = table.scan("by_ts", (0,), 5)
-        assert out == table.scan("by_ts", (0,), count=5)
+        with pytest.raises(TypeError):
+            table.scan("by_ts", (0,), 5)
+        with pytest.raises(TypeError):
+            table.scan_batch("by_ts", [(0,)], 5)
 
     def test_scan_count_required_and_unambiguous(self):
         table = self.make_filled()
