@@ -33,9 +33,9 @@ The facade groups the stable surface of the layered packages:
   (``create_index(..., replicas=ReplicaConfig(...))``):
   :class:`ReplicaConfig` / :class:`ReplicaProfile` /
   :func:`preset_profile` describe the per-replica configurations,
-  :class:`ReplicaSet` / :func:`build_replica_set` materialize them,
-  :class:`ClusterRouter` routes query classes, and
-  :class:`ReplicaAdvisor` re-scores and rebuilds replicas;
+  :class:`ReplicaSet` / :func:`build_replica_set` materialize them
+  (:meth:`ReplicaSet.rebuild` re-profiles one replica, billed), and
+  :class:`ClusterRouter` routes query classes;
 * **execution** — :class:`BatchExecutor` for amortized operation
   batches over one index;
 * **durability** — the transactional write surface and the write-ahead
@@ -81,7 +81,6 @@ from repro.cache import CacheConfig, CacheReport, CacheStats, IndexCache
 from repro.cluster import (
     ClusterRouter,
     Replica,
-    ReplicaAdvisor,
     ReplicaConfig,
     ReplicaProfile,
     ReplicaSet,
@@ -184,7 +183,6 @@ __all__ = [
     # cluster
     "ClusterRouter",
     "Replica",
-    "ReplicaAdvisor",
     "ReplicaConfig",
     "ReplicaProfile",
     "ReplicaSet",

@@ -145,8 +145,8 @@ class ReplicaConfig:
             exceeds ``hot_multiplier / heat_buckets`` (i.e. that many
             times the uniform share).
         advisor_fee_units: Fixed-op units charged per (class, replica)
-            scored in a what-if round — the modeled price of running
-            the advisor, since the probe work itself is rebated.
+            scored in the router's what-if round — the modeled price of
+            scoring, since the probe work itself is rebated.
         faults: Optional :class:`~repro.engine.FaultPlan` scripting
             replica outages (``plan.down(replica=k, beats=n)``).
     """

@@ -42,10 +42,10 @@ from repro.engine.executor import (
     ShardExecutor,
     ShardTask,
 )
-from repro.engine.router import ShardedIndex, build_sharded_index
-from repro.errors import CacheConfigError, ReplicaConfigError
+from repro.engine.router import ShardedIndex, build_engine_index
+from repro.errors import ReplicaConfigError
 from repro.memory.cost_model import CostModel
-from repro.obs import ClusterBudgetEvent
+from repro.obs import ClusterBudgetEvent, ReplicaRebuildEvent
 
 #: Shared default write-fanout backend (stateless, like the engine's).
 _SERIAL = SerialShardExecutor()
@@ -119,8 +119,8 @@ class ReplicaSet:
             executor if executor is not None else _SERIAL
         )
         self.router = ClusterRouter(config, self.replicas, cost)
-        #: How replicas were built (kind-independent knobs the advisor
-        #: reuses when rebuilding one replica under a new profile).
+        #: How replicas were built (the knobs :meth:`rebuild` reuses
+        #: when rebuilding one replica under a new profile).
         self.build_params: Dict = build_params or {}
 
     # ------------------------------------------------------------------
@@ -205,6 +205,65 @@ class ReplicaSet:
         return self.router.replica_for("scan").index.scan_batch(
             start_keys, count
         )
+
+    # ------------------------------------------------------------------
+    # Rebuild (billed)
+    # ------------------------------------------------------------------
+    def rebuild(self, replica_id: int, profile: ReplicaProfile) -> float:
+        """Rebuild one replica under ``profile``; returns billed units.
+
+        The replica's current index is drained in key order and bulk-
+        loaded into a fresh index built from ``profile`` — over the
+        create-time ``index_kwargs``, exactly as :func:`build_replica_set`
+        merges them — under the same apportioned bound.  The whole round
+        trip is charged to the shared cost model like a bulk leaf
+        conversion (nothing is rebated), and the router's cached scores
+        for the replica are invalidated so the next round re-probes it.
+        """
+        profile.validate()
+        if not 0 <= replica_id < len(self.replicas):
+            raise ReplicaConfigError(
+                f"no replica {replica_id} in a "
+                f"{len(self.replicas)}-replica cluster"
+            )
+        replica = self.replicas[replica_id]
+        bound = replica.bound_bytes
+        if profile.kind in BOUNDED_KINDS and bound is None:
+            raise ReplicaConfigError(
+                f"profile {profile.name!r} is elastic but replica "
+                f"{replica_id} holds no bound share to reuse"
+            )
+        params = self.build_params
+        old_profile = replica.profile
+        items = len(replica.index)
+        with self.cost.measure() as delta:
+            drained = replica.index.scan(b"", items) if items else []
+            new_index = build_engine_index(
+                profile.kind,
+                table=params["table"],
+                cost=self.cost,
+                key_width=params["key_width"],
+                shards=params["shards"],
+                partitioner=params["partitioner"],
+                size_bound_bytes=bound,
+                name=replica.name,
+                executor=params["executor"],
+                cache=profile.cache,
+                **{**params["index_kwargs"], **profile.builder_kwargs()},
+            )
+            if drained:
+                new_index.insert_sorted_batch(drained)
+        cost_units = delta.weighted_cost()
+        replica.index = new_index
+        replica.profile = profile
+        self.router.invalidate(replica_id)
+        if obs.is_enabled():
+            obs.emit(ReplicaRebuildEvent(
+                replica=replica_id, old_profile=old_profile.name,
+                new_profile=profile.name, items=items,
+                cost_units=cost_units,
+            ))
+        return cost_units
 
     # ------------------------------------------------------------------
     # Introspection
@@ -343,46 +402,19 @@ def build_replica_set(
         label = (
             f"{name}/r{replica_id}" if name else f"replica[{replica_id}]"
         )
-        merged = dict(index_kwargs)
-        merged.update(profile.builder_kwargs())
-        if shards > 1:
-            index = build_sharded_index(
-                profile.kind,
-                table=table,
-                cost=cost,
-                key_width=key_width,
-                n_shards=shards,
-                partitioner=partitioner,
-                size_bound_bytes=bound,
-                name=label,
-                executor=executor,
-                cache=profile.cache,
-                **merged,
-            )
-        else:
-            from repro.memory.allocator import TrackingAllocator
-            from repro.registry import build_index
-
-            index = build_index(
-                profile.kind,
-                table=table,
-                allocator=TrackingAllocator(cost_model=cost),
-                cost=cost,
-                key_width=key_width,
-                size_bound_bytes=bound,
-                **merged,
-            )
-            if profile.cache is not None:
-                if not hasattr(index, "attach_cache"):
-                    raise CacheConfigError(
-                        f"index kind {profile.kind!r} does not support "
-                        "adaptive caching"
-                    )
-                from repro.cache import IndexCache
-
-                index.attach_cache(
-                    IndexCache(profile.cache, name=f"{label}.cache")
-                )
+        index = build_engine_index(
+            profile.kind,
+            table=table,
+            cost=cost,
+            key_width=key_width,
+            shards=shards,
+            partitioner=partitioner,
+            size_bound_bytes=bound,
+            name=label,
+            executor=executor,
+            cache=profile.cache,
+            **{**index_kwargs, **profile.builder_kwargs()},
+        )
         replicas.append(
             Replica(replica_id, profile, index, name=label,
                     bound_bytes=bound)
@@ -403,5 +435,6 @@ def build_replica_set(
             "partitioner": partitioner,
             "executor": executor,
             "name": name,
+            "index_kwargs": dict(index_kwargs),
         },
     )

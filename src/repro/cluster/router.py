@@ -9,9 +9,9 @@ The :class:`ClusterRouter` is the read-side brain of a
 * per-class **sample buffers** (the most recent ``probe_keys`` observed
   keys) used as what-if probes;
 * a **score table**: every ``score_interval_ops`` operations each query
-  class is probed against every *up* replica under
-  :meth:`~repro.memory.cost_model.CostModel.measure`, the probe's delta
-  is rebated (the ledger stays net-clean), and a fixed
+  class is probed against every *up* replica inside one
+  :meth:`~repro.memory.cost_model.CostModel.what_if` round: each
+  probe's delta is rebated (the ledger stays net-clean), and a fixed
   ``advisor_fee_units`` charge per scored (class, replica) pair prices
   the advisory work itself.  Each class then routes to its
   cheapest-scoring replica (ties break toward the lowest replica id).
@@ -209,8 +209,9 @@ class ClusterRouter:
     # ------------------------------------------------------------------
     # What-if scoring
     # ------------------------------------------------------------------
-    def _probe(self, query_class: str, index, keys: Sequence[bytes]) -> int:
-        """Run ``query_class``'s probe ops against ``index``; count them.
+    def _probe(self, query_class: str, replica,
+               keys: Sequence[bytes]) -> int:
+        """Run ``query_class``'s probe ops against ``replica``; count them.
 
         ``point_cold`` probes first evict the probe key from the
         candidate's row caches: the sample keys were *just* served (that
@@ -219,6 +220,7 @@ class ClusterRouter:
         defines the class.  Hot and batch probes keep their cached
         paths; residency is exactly the property being priced there.
         """
+        index = replica.index
         if query_class == "scan":
             for key in keys:
                 index.scan(key, self.config.scan_probe_count)
@@ -227,46 +229,34 @@ class ClusterRouter:
             index.lookup_batch(list(keys))
             return len(keys)
         if query_class == "point_cold":
-            for cache in self._caches_of(index):
+            for cache in replica.caches():
                 for key in keys:
                     cache.invalidate_key(key)
         for key in keys:
             index.lookup(key)
         return len(keys)
 
-    @staticmethod
-    def _caches_of(index) -> List:
-        caches = getattr(index, "caches", None)
-        if callable(caches):
-            return caches()
-        cache = getattr(index, "cache", None)
-        return [cache] if cache is not None else []
-
     def score_round(self) -> Dict[tuple, float]:
         """Probe every (class, up replica) pair; reassign routes.
 
-        Probe work executes against the shared cost model and is then
-        rebated (:meth:`~repro.memory.cost_model.CostModel.
-        rebate_delta`), leaving only the deterministic advisor fee —
-        ``advisor_fee_units`` per scored pair — on the ledger.
+        The round is one :meth:`~repro.memory.cost_model.CostModel.
+        what_if` round: every probe is measured and rebated, leaving only
+        the deterministic advisor fee — ``advisor_fee_units`` per scored
+        pair — on the ledger.
         """
         self._scored_once = True
         up = self.up_replicas()
-        scored_pairs = 0
-        for cls in QUERY_CLASSES:
-            keys = self._samples[cls]
-            if not keys:
-                continue
-            for replica in up:
-                with self.cost.measure() as delta:
-                    probes = self._probe(cls, replica.index, keys)
-                self.cost.rebate_delta(delta)
-                self._scores[(cls, replica.replica_id)] = (
-                    delta.weighted_cost() / probes
-                )
-                scored_pairs += 1
-        if scored_pairs:
-            self.cost.fixed_ops(self.config.advisor_fee_units * scored_pairs)
+        with self.cost.what_if(self.config.advisor_fee_units) as round_:
+            for cls in QUERY_CLASSES:
+                keys = self._samples[cls]
+                if not keys:
+                    continue
+                for replica in up:
+                    with round_.probe() as delta:
+                        probes = self._probe(cls, replica, keys)
+                    self._scores[(cls, replica.replica_id)] = (
+                        delta.weighted_cost() / probes
+                    )
         for cls in QUERY_CLASSES:
             if not self._samples[cls]:
                 continue

@@ -4,18 +4,17 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.cache import CacheConfig, IndexCache
+from repro.cache import CacheConfig
 from repro.cluster import ReplicaConfig, ReplicaSet, build_replica_set
 from repro.engine import (
     BudgetArbiter,
     ShardedIndex,
-    build_sharded_index,
+    build_engine_index,
     largest_remainder,
     make_executor,
 )
 from repro.db.write import WriteBatch
 from repro.errors import (
-    CacheConfigError,
     IndexExistsError,
     InvalidBudgetError,
     ShardConfigError,
@@ -27,7 +26,6 @@ from repro.keys.encoding import encode_f64, encode_i64, encode_str
 from repro.memory.allocator import TrackingAllocator
 from repro.memory.cost_model import CostModel
 from repro.obs import Event, Observer
-from repro.registry import build_index
 from repro.table.table import RowSchema, Table
 from repro.wal.log import TableSnapshot, WalConfig, WriteAheadLog
 
@@ -249,32 +247,13 @@ class DBTable:
                 cache=cache,
                 **index_kwargs,
             )
-        elif shards == 1:
-            index = build_index(
-                kind,
-                table=view,
-                allocator=TrackingAllocator(cost_model=self.db.cost),
-                cost=self.db.cost,
-                key_width=secondary.key_width,
-                size_bound_bytes=size_bound_bytes,
-                **index_kwargs,
-            )
-            if cache is not None:
-                if not hasattr(index, "attach_cache"):
-                    raise CacheConfigError(
-                        f"index kind {kind!r} does not support adaptive "
-                        "caching"
-                    )
-                index.attach_cache(IndexCache(
-                    cache, name=f"{self.schema.name}.{name}.cache",
-                ))
         else:
-            index = build_sharded_index(
+            index = build_engine_index(
                 kind,
                 table=view,
                 cost=self.db.cost,
                 key_width=secondary.key_width,
-                n_shards=shards,
+                shards=shards,
                 partitioner=partitioner,
                 size_bound_bytes=size_bound_bytes,
                 name=f"{self.schema.name}.{name}",

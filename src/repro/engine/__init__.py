@@ -45,7 +45,11 @@ from repro.engine.partition import (
     RangePartitioner,
     make_partitioner,
 )
-from repro.engine.router import ShardedIndex, build_sharded_index
+from repro.engine.router import (
+    ShardedIndex,
+    build_engine_index,
+    build_sharded_index,
+)
 from repro.engine.shard import IndexShard
 
 __all__ = [
@@ -63,6 +67,7 @@ __all__ = [
     "ShardExecutor",
     "ShardTask",
     "ShardedIndex",
+    "build_engine_index",
     "build_sharded_index",
     "largest_remainder",
     "make_executor",

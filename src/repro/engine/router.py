@@ -38,7 +38,7 @@ from repro import obs
 from repro.engine.executor import SerialShardExecutor, ShardExecutor, ShardTask
 from repro.engine.partition import Partitioner, make_partitioner
 from repro.engine.shard import IndexShard
-from repro.errors import ShardConfigError
+from repro.errors import CacheConfigError, ShardConfigError
 from repro.memory.cost_model import NULL_COST_MODEL, CostModel
 from repro.obs import ShardRouteEvent
 
@@ -270,6 +270,17 @@ class ShardedIndex:
         ]
 
 
+def _attach_cache(index, kind: str, cache, name: str) -> None:
+    """Attach an adaptive cache named ``<name>.cache`` to ``index``."""
+    if not hasattr(index, "attach_cache"):
+        raise CacheConfigError(
+            f"index kind {kind!r} does not support adaptive caching"
+        )
+    from repro.cache import IndexCache
+
+    index.attach_cache(IndexCache(cache, name=f"{name}.cache"))
+
+
 def build_sharded_index(
     kind: str,
     *,
@@ -311,9 +322,7 @@ def build_sharded_index(
     if cache is not None:
         from dataclasses import replace
 
-        from repro.cache import IndexCache
         from repro.engine.arbiter import largest_remainder
-        from repro.errors import CacheConfigError
 
         cache.validate()
         floor = cache.min_budget_bytes
@@ -335,15 +344,62 @@ def build_sharded_index(
         )
         label = f"{name}[{shard_id}]" if name else f"shard[{shard_id}]"
         if cache is not None:
-            if not hasattr(index, "attach_cache"):
-                raise CacheConfigError(
-                    f"index kind {kind!r} does not support adaptive caching"
-                )
             shard_config = replace(cache, budget_bytes=cache_budgets[shard_id])
             if bounds[shard_id] is not None:
                 shard_config.validate(bounds[shard_id])
-            index.attach_cache(
-                IndexCache(shard_config, name=f"{label}.cache")
-            )
+            _attach_cache(index, kind, shard_config, label)
         shards.append(IndexShard(shard_id, index, allocator, name=label))
     return ShardedIndex(shards, part, executor=executor, cost=cost)
+
+
+def build_engine_index(
+    kind: str,
+    *,
+    table,
+    cost,
+    key_width: int,
+    shards: int = 1,
+    partitioner: str = "hash",
+    size_bound_bytes: Optional[int] = None,
+    name: str = "",
+    executor: Optional[ShardExecutor] = None,
+    cache=None,
+    **index_kwargs,
+):
+    """Build one engine-tier index: plain for ``shards == 1``, else sharded.
+
+    The plain index gets its own tracking allocator over the shared
+    cost model and, with a :class:`~repro.cache.CacheConfig` as
+    ``cache``, one adaptive cache named ``<name>.cache``; kinds that
+    cannot take a cache raise :class:`~repro.errors.CacheConfigError`.
+    ``shards > 1`` defers to :func:`build_sharded_index`.
+    """
+    if shards > 1:
+        return build_sharded_index(
+            kind,
+            table=table,
+            cost=cost,
+            key_width=key_width,
+            n_shards=shards,
+            partitioner=partitioner,
+            size_bound_bytes=size_bound_bytes,
+            name=name,
+            executor=executor,
+            cache=cache,
+            **index_kwargs,
+        )
+    from repro.memory.allocator import TrackingAllocator
+    from repro.registry import build_index
+
+    index = build_index(
+        kind,
+        table=table,
+        allocator=TrackingAllocator(cost_model=cost),
+        cost=cost,
+        key_width=key_width,
+        size_bound_bytes=size_bound_bytes,
+        **index_kwargs,
+    )
+    if cache is not None:
+        _attach_cache(index, kind, cache, name)
+    return index

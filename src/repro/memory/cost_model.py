@@ -556,6 +556,23 @@ class CostModel:
                 delta.counts[category] = diff
 
     @contextmanager
+    def what_if(self, fee_units: float) -> Iterator["WhatIfRound"]:
+        """One round of what-if pricing; yields a :class:`WhatIfRound`.
+
+        Every candidate scored in the round is either measured and
+        rebated (:meth:`WhatIfRound.probe`) or counted without a probe
+        (:meth:`WhatIfRound.count`).  On normal exit the round bills
+        ``fee_units`` per scored candidate as one ``fixed_ops`` charge —
+        and nothing at all when no candidate was scored — so the only
+        trace advisory pricing leaves on the ledger is its fee.
+        """
+        round_ = WhatIfRound(self)
+        yield round_
+        if round_.scored:
+            round_.billed_units = fee_units * round_.scored
+            self.fixed_ops(round_.billed_units)
+
+    @contextmanager
     def attributed_to(self, tag: str) -> Iterator[None]:
         """Attribute charges inside the block to ``tag`` (in addition to
         the global counters).  The innermost attribution wins on nesting.
@@ -588,6 +605,38 @@ class CostModel:
             yield
         finally:
             self.enabled = previous
+
+
+class WhatIfRound:
+    """An open :meth:`CostModel.what_if` round (the fee is billed on exit).
+
+    ``scored`` counts the candidates scored so far; ``billed_units`` is
+    the fee the round charged, set when the round closes.
+    """
+
+    __slots__ = ("cost", "scored", "billed_units")
+
+    def __init__(self, cost: CostModel) -> None:
+        self.cost = cost
+        self.scored = 0
+        self.billed_units = 0.0
+
+    @contextmanager
+    def probe(self) -> Iterator[CostModel]:
+        """Measure one candidate's probe and rebate it on exit.
+
+        Yields the probe's delta view (complete once the block exits);
+        rebates suppress attribution, so tagged buckets keep the work
+        performed.  Counts one scored candidate.
+        """
+        with self.cost.measure() as delta:
+            yield delta
+        self.cost.rebate_delta(delta)
+        self.scored += 1
+
+    def count(self, n: int = 1) -> None:
+        """Count ``n`` candidates scored without a probe."""
+        self.scored += n
 
 
 #: A shared disabled model for callers that do not care about costs.

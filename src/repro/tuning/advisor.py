@@ -7,13 +7,13 @@ at every :class:`~repro.engine.arbiter.BudgetArbiter` tick boundary,
 scores candidate reconfigurations by Extend-style what-if costing:
 each candidate is priced by replaying a sampled recent op window
 against the deterministic :class:`~repro.memory.cost_model.CostModel`
-under ``measure()``, the whole probe is rebated, and a fixed
-``advisor_fee_units`` is billed per candidate scored — the same honesty
-discipline as the cluster router.  An action fires only when its
-modeled payback over ``payback_window_ops`` beats its billed
-application cost (applications are priced like bulk conversions: drain
-plus rebuild, measured and never rebated), inside a per-target
-hysteresis window.
+inside the tick's one :meth:`~repro.memory.cost_model.CostModel.what_if`
+round: every probe is rebated, and a fixed ``advisor_fee_units`` is
+billed per candidate scored — the same round the cluster router uses.
+An action fires only when its modeled payback over
+``payback_window_ops`` beats its billed application cost
+(applications are priced like bulk conversions: drain plus rebuild,
+measured and never rebated), inside a per-target hysteresis window.
 
 Action families:
 
@@ -38,7 +38,8 @@ Action families:
   is cheaper.
 
 The advisor never acts on :class:`~repro.cluster.ReplicaSet` indexes —
-the cluster tier has its own advisor.
+its replica router already scores them, and a replica is re-profiled
+only through the billed :meth:`~repro.cluster.ReplicaSet.rebuild`.
 """
 
 from __future__ import annotations
@@ -48,11 +49,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.cache import IndexCache
 from repro.cluster import ReplicaSet
-from repro.engine import ShardedIndex, build_sharded_index
+from repro.engine import ShardedIndex, build_engine_index, build_sharded_index
 from repro.exec import BatchExecutor
-from repro.memory.allocator import TrackingAllocator
+from repro.memory.cost_model import WhatIfRound
 from repro.obs import (
     CapacityChangeEvent,
     LeafConversionEvent,
@@ -61,7 +61,6 @@ from repro.obs import (
     TuningPaybackEvent,
     TuningProbeEvent,
 )
-from repro.registry import build_index
 from repro.tuning.config import TuningConfig
 from repro.tuning.stats import StatsCollector, WindowStats
 
@@ -156,7 +155,6 @@ class SelfTuningAdvisor:
         self._ticks = 0
         self._churn_since_tick = 0
         self._retrain_cost_since_tick = 0.0
-        self._scored_this_tick = 0
         self._probing = False
         self._unsubscribe = obs.BUS.subscribe(self._on_bus_event)
         # The advisor's observation plane rides the structural event
@@ -257,17 +255,14 @@ class SelfTuningAdvisor:
                 collector.observe_churn(churn, retrain_cost)
             closed[key] = collector.roll()
             self.stats.windows_rolled += 1
-        self._scored_this_tick = 0
-        self._probing = True
-        try:
-            candidates = self._gather_candidates(closed)
-        finally:
-            self._probing = False
-        if self._scored_this_tick:
-            fee = self.config.advisor_fee_units * self._scored_this_tick
-            self.cost.fixed_ops(fee)
-            self.stats.probe_fee_units += fee
-            self.stats.candidates_scored += self._scored_this_tick
+        with self.cost.what_if(self.config.advisor_fee_units) as round_:
+            self._probing = True
+            try:
+                candidates = self._gather_candidates(closed, round_)
+            finally:
+                self._probing = False
+        self.stats.probe_fee_units += round_.billed_units
+        self.stats.candidates_scored += round_.scored
         if not candidates:
             return None
         best = max(candidates, key=lambda c: (c.net_gain, -c.order))
@@ -298,7 +293,8 @@ class SelfTuningAdvisor:
             ))
         return best.family
 
-    def _gather_candidates(self, closed) -> List[_Candidate]:
+    def _gather_candidates(self, closed,
+                           round_: WhatIfRound) -> List[_Candidate]:
         cfg = self.config
         candidates: List[_Candidate] = []
         for table_name, dbtable in self.db.tables.items():
@@ -318,11 +314,11 @@ class SelfTuningAdvisor:
                 window = closed.get((table_name, index_name))
                 index = secondary.index
                 if isinstance(index, ReplicaSet):
-                    continue  # the cluster tier has its own advisor
+                    continue  # re-profiled only by ReplicaSet.rebuild
                 if isinstance(index, ShardedIndex):
                     if cfg.enable_reshard and window is not None:
                         self._append(candidates, self._score_reshard(
-                            secondary, label, window,
+                            secondary, label, window, round_,
                         ))
                     continue
                 if getattr(index, "controller", None) is None:
@@ -330,20 +326,20 @@ class SelfTuningAdvisor:
                 if cfg.enable_index_park:
                     self._append(candidates, self._score_park(
                         secondary, label, collector,
-                        dbtable.table.row_bytes,
+                        dbtable.table.row_bytes, round_,
                     ))
                 if window is None or window.total_ops < cfg.min_window_ops:
                     continue
                 if cfg.enable_preset_swap:
                     self._append(candidates, self._score_preset(
-                        secondary, label, window,
+                        secondary, label, window, round_,
                     ))
                 if (
                     cfg.enable_cache_tuning
                     and getattr(index, "cache", None) is not None
                 ):
                     self._append(candidates, self._score_cache(
-                        secondary, label, window,
+                        secondary, label, window, round_,
                     ))
         return candidates
 
@@ -355,7 +351,7 @@ class SelfTuningAdvisor:
             candidates.append(candidate)
 
     # ------------------------------------------------------------------
-    # Scratch what-if machinery (measure -> rebate -> fee)
+    # Scratch what-if machinery (probed inside the tick's what-if round)
     # ------------------------------------------------------------------
     @staticmethod
     def _scratch_pairs(keys: Sequence[bytes]) -> List[Tuple[bytes, int]]:
@@ -377,10 +373,9 @@ class SelfTuningAdvisor:
         if overrides:
             kwargs.update(overrides)
         view = _SampleView(self.cost)
-        index = build_index(
+        index = build_engine_index(
             info.get("kind", "elastic"),
             table=view,
-            allocator=TrackingAllocator(cost_model=self.cost),
             cost=self.cost,
             key_width=secondary.key_width,
             size_bound_bytes=bound,
@@ -392,7 +387,7 @@ class SelfTuningAdvisor:
                    avg_count: int,
                    write_probe_keys: Optional[List[bytes]] = None) -> float:
         """Mix-weighted per-op what-if units of ``scratch`` under the
-        window's class shares (caller measures and rebates around this).
+        window's class shares (the caller probes around this).
 
         ``write_probe_keys`` must be keys held out of the scratch build:
         re-inserting keys the scratch already contains prices a write
@@ -447,8 +442,8 @@ class SelfTuningAdvisor:
     # park_index
     # ------------------------------------------------------------------
     def _score_park(self, secondary, label: str,
-                    collector: StatsCollector,
-                    row_bytes: int) -> Optional[_Candidate]:
+                    collector: StatsCollector, row_bytes: int,
+                    round_: WhatIfRound) -> Optional[_Candidate]:
         cfg = self.config
         recent = collector.recent(cfg.idle_windows_to_park)
         if len(recent) < cfg.idle_windows_to_park:
@@ -482,7 +477,7 @@ class SelfTuningAdvisor:
         index = secondary.index
         items = len(index)
         bound = index.controller.budget.soft_bound_bytes
-        with self.cost.measure() as probe:
+        with round_.probe():
             with self.cost.measure() as build_delta:
                 scratch, view = self._build_scratch(
                     secondary,
@@ -499,8 +494,6 @@ class SelfTuningAdvisor:
             # price that debt now, at today's item count.
             with self.cost.measure() as sweep_delta:
                 self.cost.copy_bytes(items * row_bytes)
-        self.cost.rebate_delta(probe)
-        self._scored_this_tick += 1
         per_write = write_delta.weighted_cost() / len(extra_pairs)
         windows_per_horizon = (
             cfg.payback_window_ops / self.arbiter.interval_ops
@@ -551,8 +544,6 @@ class SelfTuningAdvisor:
         table_name = dbtable.schema.name
         label = f"{table_name}.{secondary.name}"
         info = secondary.build_info
-        bound = info.get("size_bound_bytes")
-        kwargs = dict(info.get("index_kwargs", {}))
         store = dbtable.table
         self._probing = True
         try:
@@ -564,18 +555,18 @@ class SelfTuningAdvisor:
                 pairs.sort()
                 # The table sweep reads every live row off the heap.
                 self.cost.copy_bytes(len(pairs) * store.row_bytes)
-                fresh = build_index(
+                fresh = build_engine_index(
                     info.get("kind", "elastic"),
                     table=secondary.view,
-                    allocator=TrackingAllocator(cost_model=self.cost),
                     cost=self.cost,
                     key_width=secondary.key_width,
-                    size_bound_bytes=bound,
-                    **kwargs,
+                    size_bound_bytes=info.get("size_bound_bytes"),
+                    name=label,
+                    cache=info.get("cache"),
+                    **info.get("index_kwargs", {}),
                 )
                 if pairs:
                     fresh.insert_sorted_batch(pairs)
-                self._reattach_cache(fresh, info, label)
         finally:
             self._probing = False
         cost_units = delta.weighted_cost()
@@ -595,21 +586,11 @@ class SelfTuningAdvisor:
             ))
         return cost_units
 
-    def _reattach_cache(self, index, info: Dict, label: str,
-                        budget: Optional[int] = None) -> None:
-        cache_config = info.get("cache")
-        if cache_config is None or not hasattr(index, "attach_cache"):
-            return
-        cache = IndexCache(cache_config, name=f"{label}.cache")
-        index.attach_cache(cache)
-        if budget is not None:
-            cache.set_budget(budget)
-
     # ------------------------------------------------------------------
     # swap_preset
     # ------------------------------------------------------------------
-    def _score_preset(self, secondary, label: str,
-                      window: WindowStats) -> Optional[_Candidate]:
+    def _score_preset(self, secondary, label: str, window: WindowStats,
+                      round_: WhatIfRound) -> Optional[_Candidate]:
         cfg = self.config
         index = secondary.index
         items = len(index)
@@ -633,7 +614,7 @@ class SelfTuningAdvisor:
         avg_count = min(max(1, window.avg_scan_count()), len(pairs))
 
         def score(overrides: Optional[Dict]) -> Tuple[float, object]:
-            with self.cost.measure() as outer:
+            with round_.probe():
                 scratch, view = self._build_scratch(
                     secondary, scaled, overrides
                 )
@@ -643,8 +624,6 @@ class SelfTuningAdvisor:
                     scratch, view, window, avg_count,
                     write_probe_keys=holdout,
                 )
-            self.cost.rebate_delta(outer)
-            self._scored_this_tick += 1
             return per_op, scratch
 
         incumbent_units, incumbent_scratch = score(None)
@@ -690,10 +669,8 @@ class SelfTuningAdvisor:
         # (same relative pressure, hence a representative converted-leaf
         # fraction), scaled from sample to live items.  Rebated like
         # every probe; the real retarget is billed at fire time.
-        with self.cost.measure() as retarget_delta:
+        with round_.probe() as retarget_delta:
             incumbent_scratch.controller.retarget_lattice(dict(overrides))
-        self.cost.rebate_delta(retarget_delta)
-        self._scored_this_tick += 1
         apply_estimate = (
             retarget_delta.weighted_cost() / len(pairs)
         ) * items
@@ -728,8 +705,8 @@ class SelfTuningAdvisor:
     # ------------------------------------------------------------------
     # move_cache
     # ------------------------------------------------------------------
-    def _score_cache(self, secondary, label: str,
-                     window: WindowStats) -> Optional[_Candidate]:
+    def _score_cache(self, secondary, label: str, window: WindowStats,
+                     round_: WhatIfRound) -> Optional[_Candidate]:
         cfg = self.config
         index = secondary.index
         cache = index.cache
@@ -766,15 +743,13 @@ class SelfTuningAdvisor:
         # Measured miss cost: real lookups with the cache sidestepped,
         # rebated — the tree is probed, not polluted with admissions.
         distinct = list(dict.fromkeys(keys_seq))
-        with self.cost.measure() as delta:
+        with round_.probe() as delta:
             index.cache = None
             try:
                 for key in distinct:
                     index.lookup(key)
             finally:
                 index.cache = cache
-        self.cost.rebate_delta(delta)
-        self._scored_this_tick += 1
         miss_units = delta.weighted_cost() / len(distinct)
 
         def per_probe(budget: int) -> float:
@@ -792,7 +767,7 @@ class SelfTuningAdvisor:
             if budget == incumbent_budget or budget >= bound:
                 continue
             cand_cost = per_probe(budget)
-            self._scored_this_tick += 1
+            round_.count()
             if obs.is_enabled():
                 obs.emit(TuningProbeEvent(
                     action="move_cache", target=label,
@@ -826,8 +801,8 @@ class SelfTuningAdvisor:
     # ------------------------------------------------------------------
     # reshard
     # ------------------------------------------------------------------
-    def _score_reshard(self, secondary, label: str,
-                       window: WindowStats) -> Optional[_Candidate]:
+    def _score_reshard(self, secondary, label: str, window: WindowStats,
+                       round_: WhatIfRound) -> Optional[_Candidate]:
         cfg = self.config
         if window.total_ops < cfg.min_window_ops:
             return None
@@ -861,7 +836,7 @@ class SelfTuningAdvisor:
 
         def score(m: int) -> Tuple[float, float]:
             view = _SampleView(self.cost)
-            with self.cost.measure() as outer:
+            with round_.probe():
                 with self.cost.measure() as build_delta:
                     scratch = build_sharded_index(
                         info.get("kind", "elastic"),
@@ -872,16 +847,12 @@ class SelfTuningAdvisor:
                         partitioner=info.get("partitioner", "hash"),
                         size_bound_bytes=scaled,
                         name="tuning.scratch",
-                        executor=None,
-                        cache=None,
                         **kwargs,
                     )
                     view.register(pairs)
                     scratch.insert_sorted_batch(pairs)
                 with self.cost.measure() as probe_delta:
                     scratch.lookup_batch(distinct_points)
-            self.cost.rebate_delta(outer)
-            self._scored_this_tick += 1
             per_op = probe_delta.weighted_cost() / len(distinct_points)
             return per_op, build_delta.weighted_cost()
 
@@ -939,7 +910,6 @@ class SelfTuningAdvisor:
                 partitioner=info.get("partitioner", "hash"),
                 size_bound_bytes=total_bound,
                 name=label,
-                executor=None,
                 cache=info.get("cache"),
                 **kwargs,
             )

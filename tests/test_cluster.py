@@ -10,8 +10,9 @@ Covers the tier's four contracts:
   event streams, and recovery re-admits the replica without a rebuild;
 * **budget** — the cluster-global bound is apportioned exactly by
   profile weight and every replica enrolls with the budget arbiter;
-* **billing** — advisor rebuilds are charged like bulk conversions and
-  announced as ``replica_rebuild`` events.
+* **billing** — ``ReplicaSet.rebuild`` is charged like a bulk
+  conversion, announced as a ``replica_rebuild`` event, and keeps the
+  create-time ``index_kwargs``.
 """
 
 import random
@@ -21,7 +22,6 @@ import pytest
 from repro import obs
 from repro.cluster import (
     QUERY_CLASSES,
-    ReplicaAdvisor,
     ReplicaConfig,
     ReplicaProfile,
     ReplicaSet,
@@ -389,9 +389,9 @@ class TestFailover:
 
 
 # ----------------------------------------------------------------------
-# Advisor: billed rebuilds, rebated candidate pricing
+# Rebuild: one replica re-profiled, billed like a bulk conversion
 # ----------------------------------------------------------------------
-class TestAdvisor:
+class TestRebuild:
     def build(self):
         db, table = make_table()
         cfg = ReplicaConfig(
@@ -407,12 +407,12 @@ class TestAdvisor:
 
     def test_rebuild_is_billed_and_swaps_profile(self):
         db, table, replica_set, values = self.build()
-        advisor = ReplicaAdvisor(replica_set)
         items_before = len(replica_set.replicas[2])
         before = db.cost.weighted_cost()
         with obs.enabled():
             observer = obs.Observer()
-            units = advisor.rebuild(2, preset_profile("lattice", weight=0.2))
+            units = replica_set.rebuild(
+                2, preset_profile("lattice", weight=0.2))
             events = observer.event_log("replica_rebuild")
             observer.close()
         assert units > 0
@@ -429,29 +429,28 @@ class TestAdvisor:
 
     def test_rebuild_validates_target(self):
         _, _, replica_set, _ = self.build()
-        advisor = ReplicaAdvisor(replica_set)
         with pytest.raises(ReplicaConfigError):
-            advisor.rebuild(9, preset_profile("lattice"))
+            replica_set.rebuild(9, preset_profile("lattice"))
 
-    def test_advise_charges_only_the_fee_when_not_rebuilding(self):
-        db, table, replica_set, values = self.build()
-        rng = random.Random(4)
-        for _ in range(200):
-            table.get("by_k", (rng.choice(values),))
-        advisor = ReplicaAdvisor(replica_set)
-        advisor.score_round()
-        contributions = advisor.mix_weighted_scores()
-        assert set(contributions) == {0, 1, 2}
-        before = db.cost.weighted_cost()
-        # An improvement bar nothing can clear: no rebuild, fee only.
-        decision = advisor.advise(
-            [preset_profile("lattice", weight=0.5)],
-            improvement_fraction=1.0,
+    def test_rebuild_keeps_create_time_index_kwargs(self):
+        _, table = make_table()
+        secondary = table.create_index(
+            "by_k", ("k",), kind="elastic",
+            replicas=ReplicaConfig(
+                replicas=2,
+                profiles=(preset_profile("lattice"),
+                          preset_profile("cache")),
+                total_bound_bytes=120_000,
+            ),
+            expand_trigger_fraction=0.6,
         )
-        charged = db.cost.weighted_cost() - before
-        assert decision is None
-        fee = replica_set.config.advisor_fee_units
-        assert 0 <= charged <= fee * 1 + 1e-9
+        replica_set = secondary.index
+        table.insert_batch([(v, 0) for v in load_values(200)])
+        replica_set.rebuild(1, preset_profile("lattice"))
+        assert [
+            replica.index.config.expand_trigger_fraction
+            for replica in replica_set.replicas
+        ] == [0.6, 0.6]
 
 
 # ----------------------------------------------------------------------
@@ -509,9 +508,15 @@ class TestClusterIntegration:
     def test_api_surface(self):
         from repro import api
 
+        import repro.cluster as cluster
+
         for name in ("ReplicaConfig", "ReplicaProfile", "ReplicaSet",
-                     "Replica", "ClusterRouter", "ReplicaAdvisor",
+                     "Replica", "ClusterRouter",
                      "ReplicaConfigError", "build_replica_set",
                      "preset_profile"):
             assert hasattr(api, name), name
             assert name in api.__all__, name
+        # Replica rebuilds live on ReplicaSet; there is no second advisor.
+        for module in (api, cluster):
+            assert not hasattr(module, "ReplicaAdvisor")
+            assert "ReplicaAdvisor" not in module.__all__

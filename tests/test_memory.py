@@ -159,6 +159,85 @@ class TestCostModel:
         assert cost.tagged == {} and cost.counts == {}
 
 
+class TestWhatIfRound:
+    """``CostModel.what_if``: probes rebated, one fee per round."""
+
+    @staticmethod
+    def seeded():
+        # Probes below charge only these categories, so the rebate's
+        # zeroed counters coincide with the keys already present.
+        cost = CostModel()
+        cost.rand_lines(5)
+        cost.compares(2)
+        return cost
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_probes_leave_only_the_fee(self, k):
+        cost = self.seeded()
+        before = dict(cost.counts)
+        with cost.what_if(0.25) as round_:
+            for _ in range(k):
+                with round_.probe() as delta:
+                    cost.rand_lines(3)
+                    cost.compares(4)
+                assert delta.counts == {"rand_line": 3, "compare": 4}
+        fee_milli = int(0.25 * k * 1000)
+        assert cost.counts == {**before, "fixed_op_milli": fee_milli}
+        assert round_.scored == k
+        assert round_.billed_units == 0.25 * k
+
+    def test_fee_is_billed_once_per_round(self):
+        cost = self.seeded()
+        with cost.what_if(0.0015) as round_:
+            for _ in range(3):
+                with round_.probe():
+                    cost.rand_lines(1)
+        # One charge of 0.0045 units rounds to 4 milli-units; billing
+        # each probe separately would round 1.5 down three times to 3.
+        assert cost.counts["fixed_op_milli"] == 4
+
+    def test_counted_candidates_are_billed_without_a_probe(self):
+        cost = self.seeded()
+        before = dict(cost.counts)
+        with cost.what_if(0.5) as round_:
+            round_.count(3)
+        assert cost.counts == {**before, "fixed_op_milli": 1500}
+        assert round_.scored == 3
+
+    def test_round_with_nothing_scored_is_byte_identical(self):
+        cost = self.seeded()
+        before = list(cost.counts.items())
+        with cost.what_if(1.0) as round_:
+            pass
+        assert list(cost.counts.items()) == before
+        assert "fixed_op_milli" not in cost.counts
+        assert round_.scored == 0 and round_.billed_units == 0.0
+
+    def test_attribution_keeps_the_work_performed(self):
+        cost = CostModel()
+        with cost.attributed_to("advisor"):
+            with cost.what_if(0.5) as round_:
+                with round_.probe():
+                    cost.rand_lines(3)
+        assert cost.counts == {"rand_line": 0, "fixed_op_milli": 500}
+        assert cost.tagged["advisor"] == {
+            "rand_line": 3, "fixed_op_milli": 500,
+        }
+
+    def test_nested_measure_inside_a_probe_keeps_its_delta(self):
+        cost = self.seeded()
+        with cost.what_if(1.0) as round_:
+            with round_.probe() as outer:
+                with cost.measure() as inner:
+                    cost.rand_lines(2)
+                cost.compares(1)
+        assert inner.counts == {"rand_line": 2}
+        assert outer.counts == {"rand_line": 2, "compare": 1}
+        assert cost.counts == {
+            "rand_line": 5, "compare": 2, "fixed_op_milli": 1000,
+        }
+
+
 class TestMemoryBudget:
     def test_thresholds(self):
         budget = MemoryBudget(1000, 0.9, 0.75)
