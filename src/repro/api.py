@@ -112,6 +112,7 @@ from repro.errors import (
     ExecutorSaturatedError,
     IndexExistsError,
     InvalidBudgetError,
+    KeyEncodingError,
     LeafKindError,
     RecoveryError,
     ReplicaConfigError,
@@ -222,6 +223,7 @@ __all__ = [
     "ExecutorSaturatedError",
     "IndexExistsError",
     "InvalidBudgetError",
+    "KeyEncodingError",
     "LeafKindError",
     "RecoveryError",
     "ReplicaConfigError",

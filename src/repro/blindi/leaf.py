@@ -204,15 +204,17 @@ class CompactLeaf(LeafNode):
         # Scan iteration loads every key from the table; the loads are
         # independent and overlap in hardware (batched cost).
         self.cost.rand_lines(1)
-        for pos in range(self.rep.n):
-            yield self.table.load_key_batched(self.rep.tid_at(pos)), self.rep.tid_at(pos)
+        load = self.table.load_key_batched
+        for tid in list(self.rep.tids):
+            yield load(tid), tid
 
     def iter_from(self, key: bytes) -> Iterator[Tuple[bytes, int]]:
         self.cost.rand_lines(1)
         result = self.rep.search(key)
         start = result.pos if result.found else result.pred + 1
-        for pos in range(start, self.rep.n):
-            yield self.table.load_key_batched(self.rep.tid_at(pos)), self.rep.tid_at(pos)
+        load = self.table.load_key_batched
+        for tid in self.rep.tids[start:]:
+            yield load(tid), tid
 
     def take_first(self) -> Tuple[bytes, int]:
         key = self.rep.key_at(0)

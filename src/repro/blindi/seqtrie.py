@@ -33,6 +33,7 @@ from repro.memory.cost_model import CostModel, NULL_COST_MODEL
 from repro.table.table import Table
 
 _INF = 1 << 30
+_CACHE_LINE = 64
 
 
 @dataclass(slots=True)
@@ -144,9 +145,12 @@ class SeqTrieRep:
         count = hi - lo + 1
         if count <= 0:
             return j
-        self.cost.touch_bytes_seq(count * self.bit_entry_bytes)
-        self.cost.compares(count)
-        self.cost.branches(count)
+        lines = (count * self.bit_entry_bytes + _CACHE_LINE - 1) // _CACHE_LINE
+        # touch_bytes_seq, compares and branches fused into one charge.
+        self.cost.charge_many(
+            ("rand_line", 1), ("seq_line", lines - 1),
+            ("compare", count), ("branch", count),
+        )
         threshold = _INF
         bits = self.bits
         for i in range(lo, hi + 1):

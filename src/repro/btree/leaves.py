@@ -276,16 +276,18 @@ class StandardLeaf(LeafNode):
     # -- internal search ---------------------------------------------------
     def _search_cost(self) -> None:
         n = len(self.keys)
-        self.cost.rand_lines(1)
-        if n:
-            probes = max(1, n.bit_length())
-            self.cost.compares(probes)
-            self.cost.branches(probes)
-            # Binary search touches up to log2(lines) distinct lines of the
-            # key area; charge one extra random line for keys beyond one
-            # cache line, which matches a 16-slot STX leaf closely.
-            if n * self.key_width > _CACHE_LINE:
-                self.cost.rand_lines(1)
+        if not n:
+            self.cost.rand_lines(1)
+            return
+        probes = n.bit_length()
+        # Binary search touches up to log2(lines) distinct lines of the
+        # key area; charge one extra random line for keys beyond one
+        # cache line, which matches a 16-slot STX leaf closely.
+        extra = 1 if n * self.key_width > _CACHE_LINE else 0
+        self.cost.charge_many(
+            ("rand_line", 1), ("compare", probes), ("branch", probes),
+            ("rand_line", extra),
+        )
 
     def _position(self, key: bytes) -> int:
         self._search_cost()

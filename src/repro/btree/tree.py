@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import bisect
+from itertools import islice
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
@@ -70,12 +71,12 @@ class InnerNode:
 
     def route(self, key: bytes) -> int:
         """Index of the child subtree responsible for ``key``."""
-        self.cost.rand_lines(1)
-        n = len(self.keys)
-        probes = max(1, n.bit_length())
-        self.cost.compares(probes)
-        self.cost.branches(probes)
-        return bisect.bisect_right(self.keys, key)
+        keys = self.keys
+        probes = len(keys).bit_length() or 1
+        self.cost.charge_many(
+            ("rand_line", 1), ("compare", probes), ("branch", probes)
+        )
+        return bisect.bisect_right(keys, key)
 
     def insert_child(self, taken_idx: int, separator: bytes, right: Node) -> None:
         """Insert ``separator`` and ``right`` after the child at ``taken_idx``."""
@@ -569,21 +570,17 @@ class BPlusTree:
     def _collect_scan(
         self, leaf: LeafNode, start_key: bytes, count: int
     ) -> List[Tuple[bytes, int]]:
+        # Leaf at a time: islice pulls exactly the items still needed,
+        # so lazy (indirect-key) leaves charge the loads of those items
+        # and no more.  iter_from runs even for count <= 0, since a
+        # standard leaf charges its search eagerly.
         out: List[Tuple[bytes, int]] = []
-        iterator: Iterator[Tuple[bytes, int]] = leaf.iter_from(start_key)
-        current: Optional[LeafNode] = leaf
+        out.extend(islice(leaf.iter_from(start_key), max(0, count)))
+        current: Optional[LeafNode] = leaf.next_leaf
         while current is not None and len(out) < count:
-            for item in iterator:
-                out.append(item)
-                if len(out) >= count:
-                    break
-            else:
-                current = current.next_leaf
-                if current is not None:
-                    self.cost.rand_lines(1)  # leaf-chain pointer chase
-                    iterator = current.items()
-                continue
-            break
+            self.cost.rand_lines(1)  # leaf-chain pointer chase
+            out.extend(islice(current.items(), count - len(out)))
+            current = current.next_leaf
         return out
 
     def items(self) -> Iterator[Tuple[bytes, int]]:

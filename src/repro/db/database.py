@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+import math
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cache import CacheConfig
 from repro.cluster import ReplicaConfig, ReplicaSet, build_replica_set
@@ -17,6 +18,7 @@ from repro.db.write import WriteBatch
 from repro.errors import (
     IndexExistsError,
     InvalidBudgetError,
+    KeyEncodingError,
     ShardConfigError,
     TuningConfigError,
     WalError,
@@ -41,6 +43,59 @@ def _encode_column(value, ctype: str, width: int) -> bytes:
     return encode_str(str(value), width)
 
 
+_I64_MIN = -(1 << 63)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_f64(value) -> bool:
+    if isinstance(value, float):
+        return not math.isnan(value)
+    if not _is_int(value):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
+def _column_check(ctype: str, width: int) -> Callable[[object], bool]:
+    """Whether a value is encodable in a ``ctype`` column of ``width``
+    bytes: ``u64``/``i64`` take in-range ``int`` (not ``bool``), ``f64``
+    an ``int`` or non-NaN ``float``, ``str`` an ASCII ``str`` that fits."""
+    if ctype == "u64":
+        limit = 1 << (8 * width)
+        return lambda value: _is_int(value) and 0 <= value < limit
+    if ctype == "i64":
+        return lambda value: _is_int(value) and _I64_MIN <= value < -_I64_MIN
+    if ctype == "f64":
+        return _is_f64
+    return lambda value: (
+        isinstance(value, str) and value.isascii() and len(value) <= width
+    )
+
+
+def _compile_encoder(
+    types: Sequence[str], widths: Sequence[int], positions: Sequence[int]
+) -> Callable[[Sequence], bytes]:
+    """``row -> key``: the ``_encode_column`` join over ``row[p]`` for
+    each of ``positions``, built once per index.
+
+    Values are trusted to pass :func:`_column_check`, so a single
+    ``u64`` column encodes straight through ``int.to_bytes``.
+    """
+    columns = tuple(zip(positions, types, widths))
+    if len(columns) == 1 and types[0] == "u64":
+        ((p, _, w),) = columns
+        return lambda row: row[p].to_bytes(w, "big")
+    return lambda row: b"".join(
+        [_encode_column(row[p], t, w) for p, t, w in columns]
+    )
+
+
 class TableView:
     """A per-index view of a table: same rows, index-specific keys.
 
@@ -54,13 +109,23 @@ class TableView:
         self._key_of_row = key_of_row
 
     def load_key(self, tid: int) -> bytes:
-        row = self._table.live_row(tid)
-        self._table.cost_model.key_loads(1)
+        table = self._table
+        row = table.live_row(tid)
+        cost = table.cost_model
+        if cost._mlp_depth:
+            cost.key_loads(1)
+        else:
+            cost.charge("key_load", 1)
         return self._key_of_row(row)
 
     def load_key_batched(self, tid: int) -> bytes:
-        row = self._table.live_row(tid)
-        self._table.cost_model.key_loads_batched(1)
+        table = self._table
+        row = table.live_row(tid)
+        cost = table.cost_model
+        if cost._wave is None:  # no open mlp_window: the flat batched rate
+            cost.charge("key_load_batched", 1)
+        else:
+            cost.key_loads_batched(1)
         return self._key_of_row(row)
 
     def peek_key(self, tid: int) -> bytes:
@@ -85,6 +150,15 @@ class SecondaryIndex:
         self.widths = widths
         self.types = types or tuple("u64" for _ in columns)
         self._positions = positions
+        #: ``row -> key``, compiled once.  Unchecked: every stored row
+        #: passed :meth:`check_row` when its write was staged.
+        self.key_of_row = _compile_encoder(self.types, widths, positions)
+        self._encode_values = _compile_encoder(
+            self.types, widths, range(len(widths))
+        )
+        self._checks = tuple(
+            _column_check(t, w) for t, w in zip(self.types, widths)
+        )
         self.index = index
         self.view = view
         self._executor: Optional[BatchExecutor] = None
@@ -107,18 +181,32 @@ class SecondaryIndex:
         return sum(self.widths)
 
     def key_of_values(self, values: Sequence) -> bytes:
-        """Order-preserving concatenation of the typed column values."""
+        """Order-preserving concatenation of the typed column values.
+
+        Raises :class:`~repro.errors.KeyEncodingError` for a wrong
+        number of values or a value its column type cannot encode.
+        """
         if len(values) != len(self.widths):
-            raise ValueError(
+            raise KeyEncodingError(
                 f"index {self.name!r} needs {len(self.widths)} values"
             )
-        return b"".join(
-            _encode_column(v, t, w)
-            for v, t, w in zip(values, self.types, self.widths)
-        )
+        self._check(values)
+        return self._encode_values(values)
 
-    def key_of_row(self, row: Tuple[int, ...]) -> bytes:
-        return self.key_of_values([row[p] for p in self._positions])
+    def check_row(self, row: Sequence) -> None:
+        """Raise :class:`~repro.errors.KeyEncodingError` unless every
+        column of this index in ``row`` is encodable."""
+        self._check([row[p] for p in self._positions])
+
+    def _check(self, values: Sequence) -> None:
+        for value, valid, column, ctype in zip(
+            values, self._checks, self.columns, self.types
+        ):
+            if not valid(value):
+                raise KeyEncodingError(
+                    f"index {self.name!r}: column {column!r} ({ctype}) "
+                    f"cannot encode {value!r}"
+                )
 
     @property
     def index_bytes(self) -> int:
@@ -227,6 +315,11 @@ class DBTable:
         secondary = SecondaryIndex(
             name, tuple(columns), widths, positions, None, None, types
         )
+        # Rows were checked only against the indexes that existed when
+        # they were written; check the new index's columns before the
+        # back-fill encodes them unchecked.
+        for _, row in self.table.iter_live():
+            secondary.check_row(row)
         view = TableView(self.table, secondary.key_of_row)
         # Each index (each shard, when sharded) gets its own allocator
         # so its footprint (and, for elastic indexes, its budget

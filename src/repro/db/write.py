@@ -106,12 +106,18 @@ class WriteBatch:
 
     @staticmethod
     def _validate(dbtable: "DBTable", row: Sequence) -> Tuple:
+        """The row as a tuple, once its arity and every indexed column
+        check out (:class:`~repro.errors.KeyEncodingError` otherwise) —
+        before anything is logged or applied, so a bad value can neither
+        tear the indexes apart nor poison the log's replay."""
         row = tuple(row)
         if len(row) != len(dbtable.schema.column_names):
             raise ValueError(
                 f"row has {len(row)} columns, schema needs "
                 f"{len(dbtable.schema.column_names)}"
             )
+        for secondary in dbtable.indexes.values():
+            secondary.check_row(row)
         return row
 
     def _check_open(self) -> None:

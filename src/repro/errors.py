@@ -53,6 +53,12 @@ The concrete classes map to the layers that raise them:
   database that has no write-ahead log, or replaying a log whose
   records reference tables the DDL history never created
   (``repro.wal.recovery``).
+* :class:`KeyEncodingError` — a key value its index column cannot
+  encode: an ``int`` outside a ``u64``/``i64`` column's range, a
+  ``bool`` or ``float`` in an integer column, a NaN in an ``f64``
+  column, a non-ASCII or over-wide ``str``, or a wrong number of key
+  values.  Writes are checked when staged, before any log append or
+  index update; read keys when encoded (``repro.db``).
 * :class:`TuningConfigError` — a self-tuning configuration that can
   never act: non-positive sample windows or payback horizons, empty
   cache ladders, negative fees, enabling the advisor twice, or
@@ -113,6 +119,10 @@ class RecoveryError(ReproError):
     """Crash recovery cannot proceed from the given database state."""
 
 
+class KeyEncodingError(ReproError):
+    """A value cannot be encoded as a key of its index column."""
+
+
 class TuningConfigError(ReproError):
     """A self-tuning advisor configuration is invalid or cannot act."""
 
@@ -122,6 +132,7 @@ __all__ = [
     "ExecutorSaturatedError",
     "IndexExistsError",
     "InvalidBudgetError",
+    "KeyEncodingError",
     "LeafKindError",
     "RecoveryError",
     "ReplicaConfigError",

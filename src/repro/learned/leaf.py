@@ -367,15 +367,16 @@ class LearnedLeaf(LeafNode):
 
     def items(self) -> Iterator[Tuple[bytes, int]]:
         self.cost.rand_lines(1)
+        load = self.table.load_key_batched
         for tid in list(self.tids):
-            yield self.table.load_key_batched(tid), tid
+            yield load(tid), tid
 
     def iter_from(self, key: bytes) -> Iterator[Tuple[bytes, int]]:
         self.cost.rand_lines(1)
         _, start = self._probe(key)
-        for pos in range(start, len(self.tids)):
-            tid = self.tids[pos]
-            yield self.table.load_key_batched(tid), tid
+        load = self.table.load_key_batched
+        for tid in self.tids[start:]:
+            yield load(tid), tid
 
     def take_first(self) -> Tuple[bytes, int]:
         key = self.table.load_key(self.tids[0])

@@ -232,6 +232,28 @@ class CostModel:
             bucket = self.tagged.setdefault(self._attribution, {})
             bucket[category] = bucket.get(category, 0) + count
 
+    def charge_many(self, *pairs: Tuple[str, int]) -> None:
+        """Record each ``(category, count)`` pair, in order.
+
+        Exactly sequential :meth:`charge` calls — zero counts skipped,
+        the tag bucket created only when a nonzero count lands, every
+        dict filled in the same insertion order (``weighted_cost`` sums
+        floats in that order) — for one ``enabled`` check and one
+        attribution lookup.
+        """
+        if not self.enabled:
+            return
+        counts = self.counts
+        tag = self._attribution
+        bucket = None
+        for category, count in pairs:
+            if count:
+                counts[category] = counts.get(category, 0) + count
+                if tag:
+                    if bucket is None:
+                        bucket = self.tagged.setdefault(tag, {})
+                    bucket[category] = bucket.get(category, 0) + count
+
     def rand_lines(self, n: int = 1) -> None:
         """Charge ``n`` randomly-addressed cache line touches."""
         self.charge("rand_line", n)

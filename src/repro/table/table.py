@@ -124,8 +124,10 @@ class Table:
 
     def row(self, tid: int) -> Any:
         """Fetch a row by tuple id (charges one random access)."""
-        row = self.live_row(tid)
-        self.cost_model.rand_lines(1)
+        row = self._rows[tid]
+        if row is None:
+            raise KeyError(f"tuple id {tid} is not live")
+        self.cost_model.charge("rand_line", 1)
         return row
 
     def live_row(self, tid: int) -> Any:
@@ -146,7 +148,11 @@ class Table:
     def load_key(self, tid: int) -> bytes:
         """Load the index key of row ``tid`` — one indirect access."""
         row = self.live_row(tid)
-        self.cost_model.key_loads(1)
+        cost = self.cost_model
+        if cost._mlp_depth:
+            cost.key_loads(1)
+        else:
+            cost.charge("key_load", 1)
         return self._key_of_row(row)
 
     def load_key_batched(self, tid: int) -> bytes:
@@ -156,7 +162,11 @@ class Table:
         cheaper than the dependent verify load of a point search.
         """
         row = self.live_row(tid)
-        self.cost_model.key_loads_batched(1)
+        cost = self.cost_model
+        if cost._wave is None:  # no open mlp_window: the flat batched rate
+            cost.charge("key_load_batched", 1)
+        else:
+            cost.key_loads_batched(1)
         return self._key_of_row(row)
 
     def peek_key(self, tid: int) -> bytes:

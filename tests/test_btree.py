@@ -5,13 +5,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.blindi.leaf import compact_leaf_factory
+from repro.blindi.seqtree import SeqTreeRep
 from repro.btree.leaves import LeafFullError, StandardLeaf
 from repro.btree.tree import BPlusTree
 from repro.keys.encoding import encode_u64
+from repro.learned.leaf import learned_leaf_factory
 from repro.memory.allocator import TrackingAllocator
 from repro.memory.cost_model import CostModel
 
-from tests.conftest import SortedModel
+from tests.conftest import SortedModel, U64Source
 
 
 def make_tree(leaf_capacity=4, inner_capacity=4):
@@ -255,3 +258,74 @@ def test_scan_matches_model_across_leaves():
         model.insert(encode_u64(i), i)
     for start in (0, 1, 149, 150, 298, 299):
         assert tree.scan(encode_u64(start), 7) == model.scan(encode_u64(start), 7)
+
+
+def _per_item_scan(tree, start_key, count):
+    """Oracle: the per-item collection loop that leaf-at-a-time
+    ``BPlusTree.scan`` replaced."""
+    _, leaf = tree.descend(start_key)
+    out = []
+    iterator = leaf.iter_from(start_key)
+    current = leaf
+    while current is not None and len(out) < count:
+        for item in iterator:
+            out.append(item)
+            if len(out) >= count:
+                break
+        else:
+            current = current.next_leaf
+            if current is not None:
+                tree.cost.rand_lines(1)
+                iterator = current.items()
+            continue
+        break
+    return out
+
+
+_LEAF_FACTORIES = {
+    "standard": lambda table: None,
+    "compact": lambda table: compact_leaf_factory(
+        SeqTreeRep, 16, table, 8, rep_kwargs={"levels": 2}
+    ),
+    "learned": lambda table: learned_leaf_factory(16, table, 8),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_LEAF_FACTORIES))
+@pytest.mark.parametrize(
+    "shape", ["zero", "one", "leaf_remainder", "three_leaves", "past_end"]
+)
+def test_scan_matches_per_item_loop(kind, shape):
+    source = U64Source()
+    cost = source.cost
+    tree = BPlusTree(
+        key_width=8,
+        leaf_capacity=16,
+        inner_capacity=4,
+        allocator=TrackingAllocator(use_size_classes=False, cost_model=cost),
+        cost_model=cost,
+        leaf_factory=_LEAF_FACTORIES[kind](source.table),
+    )
+    for value in range(0, 600, 3):
+        tree.insert(*source.add(value))
+    start = encode_u64(301)  # absent: iteration starts mid-leaf
+    with cost.paused():
+        _, leaf = tree.descend(start)
+        assert leaf.kind == kind
+        remainder = len(list(leaf.iter_from(start)))
+        following = leaf.next_leaf.count
+    assert 1 < remainder < leaf.count
+    count = {
+        "zero": 0,
+        "one": 1,
+        "leaf_remainder": remainder,
+        "three_leaves": remainder + following + 1,
+        "past_end": 1000,
+    }[shape]
+    with cost.measure() as old:
+        expected = _per_item_scan(tree, start, count)
+    with cost.measure() as new:
+        got = tree.scan(start, count)
+    assert got == expected
+    assert len(got) == min(count, (600 - 303) // 3)
+    assert list(new.counts.items()) == list(old.counts.items())

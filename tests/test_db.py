@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.db.database import Database
+from repro.db.database import Database, _encode_column
+from repro.errors import KeyEncodingError
 from repro.memory.budget import PressureState
 from repro.table.table import RowSchema
 from repro.workloads.iotta import IottaTraceGenerator
@@ -164,6 +166,160 @@ class TestTypedColumns:
         out = table.scan("by_label", ("",), count=10)
         assert [r[3] for r in out] == ["apple", "mango", "pear"]
         assert table.get("by_label", ("mango",)) == (2, 0.0, 0, "mango")
+
+
+class TestKeyEncodingErrors:
+    """Invalid key values raise a typed error before anything changes."""
+
+    PAIR_SCHEMA = RowSchema("pairs", ("id", "v"), (8, 8))
+
+    def make_pairs(self):
+        db = Database()
+        table = db.create_table(self.PAIR_SCHEMA)
+        table.create_index("by_id", ("id",))
+        table.create_index("by_v", ("v",))
+        for i in range(10):
+            table.insert((i, 100 + i))
+        return db, table
+
+    @staticmethod
+    def assert_indexes_agree(table):
+        for _, row in table.table.iter_live():
+            assert table.get("by_id", (row[0],)) == row
+            assert table.get("by_v", (row[1],)) == row
+        for name in ("by_id", "by_v"):
+            assert len(table.scan(name, (0,), count=1000)) == len(table)
+
+    @pytest.mark.parametrize("row", [
+        (11, -5), (11, 1 << 64), (-1, 5), (2.5, 0), (11, 7.0),
+        (True, 0), (11, "5"), (11, None),
+    ])
+    def test_invalid_insert_changes_nothing(self, row):
+        _, table = self.make_pairs()
+        with pytest.raises(KeyEncodingError):
+            table.insert(row)
+        assert len(table) == 10
+        assert table.get("by_id", (2,)) == (2, 102)
+        assert table.get("by_id", (11,)) is None
+        self.assert_indexes_agree(table)
+
+    def test_invalid_row_rejects_the_whole_batch(self):
+        db, table = self.make_pairs()
+        with pytest.raises(KeyEncodingError):
+            with db.begin_batch() as batch:
+                batch.insert(table, (20, 120))
+                batch.insert_batch(table, [(21, 121), (22, -1)])
+        assert len(table) == 10
+        assert table.get("by_id", (20,)) is None
+        self.assert_indexes_agree(table)
+
+    @pytest.mark.parametrize("values", [
+        (3.7,), ("5",), (True,), (-1,), (1 << 64,), (None,),
+    ])
+    def test_invalid_read_key_raises(self, values):
+        _, table = self.make_pairs()
+        with pytest.raises(KeyEncodingError):
+            table.get("by_id", values)
+        with pytest.raises(KeyEncodingError):
+            table.scan("by_id", values, count=3)
+        with pytest.raises(KeyEncodingError):
+            table.get_batch("by_id", [(1,), values])
+
+    def test_wrong_arity_is_a_key_encoding_error(self):
+        _, table = self.make_pairs()
+        with pytest.raises(KeyEncodingError):
+            table.get("by_id", (1, 2))
+
+    def test_late_index_rejects_unencodable_rows(self):
+        db = Database()
+        table = db.create_table(self.PAIR_SCHEMA)
+        table.create_index("by_id", ("id",))
+        table.insert((1, -5))  # v is unindexed, so unchecked
+        with pytest.raises(KeyEncodingError):
+            table.create_index("by_v", ("v",))
+        assert "by_v" not in table.indexes
+        assert table.get("by_id", (1,)) == (1, -5)
+
+    @pytest.mark.parametrize("column, value", [
+        ("sensor", -1), ("reading", float("nan")), ("reading", True),
+        ("reading", 1 << 1100), ("delta", 1 << 63), ("delta", -(1 << 63) - 1),
+        ("delta", 1.0), ("label", "é"), ("label", "x" * 17), ("label", 5),
+    ], ids=[
+        "u64-negative", "f64-nan", "f64-bool", "f64-int-overflows-float",
+        "i64-above", "i64-below", "i64-float", "str-non-ascii",
+        "str-too-wide", "str-int",
+    ])
+    def test_typed_columns_reject(self, column, value):
+        db = Database()
+        table = db.create_table(TestTypedColumns.SENSOR_SCHEMA)
+        table.create_index("ix", (column,))
+        row = [1, 0.5, -3, "ok"]
+        row[TestTypedColumns.SENSOR_SCHEMA.column_names.index(column)] = value
+        with pytest.raises(KeyEncodingError):
+            table.insert(tuple(row))
+        with pytest.raises(KeyEncodingError):
+            table.get("ix", (value,))
+        assert len(table) == 0
+
+    @pytest.mark.parametrize("column, value", [
+        ("reading", 3), ("reading", float("inf")), ("delta", -(1 << 63)),
+        ("label", "x" * 16), ("label", ""),
+    ])
+    def test_typed_columns_accept_edges(self, column, value):
+        db = Database()
+        table = db.create_table(TestTypedColumns.SENSOR_SCHEMA)
+        table.create_index("ix", (column,))
+        row = [1, 0.5, -3, "ok"]
+        row[TestTypedColumns.SENSOR_SCHEMA.column_names.index(column)] = value
+        table.insert(tuple(row))
+        assert table.get("ix", (value,)) == tuple(row)
+
+
+_COLUMN_VALUES = {
+    "u64": st.integers(min_value=0, max_value=(1 << 64) - 1),
+    "i64": st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1),
+    "f64": st.one_of(
+        st.floats(allow_nan=False),
+        st.integers(min_value=-(1 << 80), max_value=1 << 80),
+    ),
+    "str": st.text(alphabet=st.characters(max_codepoint=127), max_size=12),
+}
+_WIDTHS = {"u64": 8, "i64": 8, "f64": 8, "str": 12}
+
+
+@st.composite
+def _typed_key(draw):
+    """(types, index column order, values in that order)."""
+    types = draw(st.lists(st.sampled_from(sorted(_COLUMN_VALUES)),
+                          min_size=1, max_size=4))
+    order = draw(st.permutations(range(len(types))))
+    values = tuple(draw(_COLUMN_VALUES[types[i]]) for i in order)
+    return types, order, values
+
+
+class TestCompiledEncoder:
+    @given(_typed_key())
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_equal_the_column_join(self, case):
+        types, order, values = case
+        names = ["pad"] + [f"c{i}" for i in range(len(types))]
+        schema = RowSchema(
+            "typed", tuple(names),
+            (8,) + tuple(_WIDTHS[t] for t in types),
+            ("u64",) + tuple(types),
+        )
+        table = Database().create_table(schema)
+        idx = table.create_index("ix", tuple(f"c{i}" for i in order))
+        expected = b"".join(
+            _encode_column(v, types[i], _WIDTHS[types[i]])
+            for i, v in zip(order, values)
+        )
+        assert idx.key_of_values(values) == expected
+        row = [0] * len(names)
+        for i, v in zip(order, values):
+            row[i + 1] = v
+        idx.check_row(row)
+        assert idx.key_of_row(tuple(row)) == expected
 
 
 class TestMemoryAndElasticity:

@@ -570,3 +570,121 @@ class TestRebateResidues:
         assert cost.counts["rand_line"] == 1
         assert cost.counts["wave_issue"] == 1
         assert all(c >= 0 for c in cost.counts.values())
+
+
+class TestChargeMany:
+    """``charge_many`` equals sequential ``charge`` calls exactly: the
+    same counts and tag buckets, in the same dict insertion order
+    (``weighted_cost`` sums floats in that order)."""
+
+    PAIRS = [
+        (("rand_line", 1), ("compare", 4), ("branch", 4)),
+        (("rand_line", 1), ("compare", 0), ("branch", 3), ("rand_line", 1)),
+        (("compare", 0), ("seq_line", 0)),
+        (("seq_line", 2), ("key_load", 3), ("seq_line", 0), ("alloc", 1)),
+        (),
+    ]
+
+    @staticmethod
+    def ledger(cost):
+        return (
+            list(cost.counts.items()),
+            [(tag, list(bucket.items())) for tag, bucket in cost.tagged.items()],
+        )
+
+    def run_both(self, scenario):
+        """``scenario(cost, charge)`` once with sequential charges and
+        once fused; returns both ledgers and both scenario results."""
+        out = []
+        for fused in (False, True):
+            cost = CostModel()
+            cost.rand_lines(2)  # pre-existing key: order must not move
+
+            def charge(pairs, cost=cost, fused=fused):
+                if fused:
+                    cost.charge_many(*pairs)
+                else:
+                    for category, count in pairs:
+                        cost.charge(category, count)
+
+            result = scenario(cost, charge)
+            out.append((self.ledger(cost), result))
+        return out
+
+    @pytest.mark.parametrize("pairs", PAIRS)
+    def test_plain_including_zero_counts(self, pairs):
+        sequential, fused = self.run_both(lambda cost, charge: charge(pairs))
+        assert fused == sequential
+
+    @pytest.mark.parametrize("pairs", PAIRS)
+    def test_disabled_model_charges_nothing(self, pairs):
+        def scenario(cost, charge):
+            cost.enabled = False
+            with cost.attributed_to("t"):
+                charge(pairs)
+
+        sequential, fused = self.run_both(scenario)
+        assert fused == sequential
+        assert fused[0] == ([("rand_line", 2)], [])
+
+    @pytest.mark.parametrize("pairs", PAIRS)
+    def test_inside_attribution(self, pairs):
+        def scenario(cost, charge):
+            with cost.attributed_to("outer"):
+                cost.compares(1)
+                with cost.attributed_to("inner"):
+                    charge(pairs)
+                charge(pairs)
+
+        sequential, fused = self.run_both(scenario)
+        assert fused == sequential
+        tags = [tag for tag, _ in fused[0][1]]
+        # A bucket only appears once a nonzero count lands in it.
+        assert ("inner" in tags) == any(count for _, count in pairs)
+
+    @pytest.mark.parametrize("pairs", PAIRS)
+    def test_under_measure(self, pairs):
+        def scenario(cost, charge):
+            with cost.measure() as delta:
+                charge(pairs)
+                charge(pairs)
+            return list(delta.counts.items()), delta.weighted_cost()
+
+        sequential, fused = self.run_both(scenario)
+        assert fused == sequential
+
+    @pytest.mark.parametrize("pairs", PAIRS)
+    def test_under_what_if_probes(self, pairs):
+        def scenario(cost, charge):
+            with cost.attributed_to("advisor"):
+                with cost.what_if(0.25) as round_:
+                    for _ in range(2):
+                        with round_.probe() as delta:
+                            charge(pairs)
+            return list(delta.counts.items()), round_.billed_units
+
+        sequential, fused = self.run_both(scenario)
+        assert fused == sequential
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["rand_line", "seq_line", "compare",
+                                 "branch", "fixed_op_milli"]),
+                st.integers(min_value=-2, max_value=4),
+            ),
+            max_size=8,
+        ),
+        st.sampled_from(["", "a"]),
+        st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_arbitrary_pairs(self, pairs, tag, enabled):
+        def scenario(cost, charge):
+            cost.enabled = enabled
+            with cost.attributed_to(tag):
+                charge(pairs)
+            return cost.weighted_cost()
+
+        sequential, fused = self.run_both(scenario)
+        assert fused == sequential

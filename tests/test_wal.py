@@ -22,7 +22,7 @@ from repro import obs
 from repro.cluster import ReplicaConfig
 from repro.db.database import Database
 from repro.engine import FaultPlan
-from repro.errors import RecoveryError, WalError
+from repro.errors import KeyEncodingError, RecoveryError, WalError
 from repro.table.table import RowSchema
 from repro.tools import wal_summary
 from repro.wal import (
@@ -358,6 +358,42 @@ class TestKillAndRecover:
         assert new_db.cost.tagged_cost("recovery") == pytest.approx(
             report.cost_units
         )
+
+
+class TestInvalidKeyValues:
+    """A row with an unencodable key value is rejected while staged, so
+    it never reaches the log and recovery never replays it."""
+
+    def make(self):
+        db = Database(wal=WalConfig(group_size=1))
+        table = db.create_table(RowSchema("t", ("id", "v"), (8, 8)))
+        table.create_index("by_id", ("id",))
+        table.create_index("by_v", ("v",))
+        table.insert_batch([(i, 100 + i) for i in range(8)])
+        return db, table
+
+    def test_rejected_row_is_never_logged(self):
+        db, table = self.make()
+        logged = len(db.wal.records)
+        with pytest.raises(KeyEncodingError):
+            table.insert((11, -5))
+        with pytest.raises(KeyEncodingError):
+            with db.begin_batch() as batch:
+                batch.insert(table, (12, 112))
+                batch.insert(table, (2.5, 0))
+        assert len(db.wal.records) == logged
+        assert table.get("by_id", (2,)) == (2, 102)
+
+    def test_recovery_after_a_rejected_row(self):
+        db, table = self.make()
+        with pytest.raises(KeyEncodingError):
+            table.insert((11, -5))
+        table.insert((12, 112))
+        for _ in range(2):  # recovery succeeds, and again from the same log
+            new_db, report = recover_database(db)
+            assert state_digest(new_db) == state_digest(db)
+            assert new_db.tables["t"].get("by_v", (112,)) == (12, 112)
+            assert new_db.tables["t"].get("by_id", (11,)) is None
 
 
 class TestSnapshot:
