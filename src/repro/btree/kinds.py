@@ -1,13 +1,12 @@
 """Pluggable leaf-kind registry: conversion targets as first-class names.
 
-The paper's elasticity was a two-point dial baked in as scattered
-``is_compact`` booleans.  This module turns leaf representations into
-registered *kinds*: each kind supplies construction hooks, and the
-tree / elasticity / cache / stats layers dispatch on
-:attr:`~repro.btree.leaves.LeafNode.kind` plus the registered
-:class:`LeafKindSpec` instead of probing concrete classes.  New
-representations (gapped leaves, hash leaves, ...) become one
-:func:`register_leaf_kind` call plus a ``leaf_kinds`` selection on
+The paper's elasticity is a two-point dial: full or compact leaves.
+This module turns leaf representations into registered *kinds*: each
+kind supplies construction hooks, and the tree / elasticity / cache /
+stats layers dispatch on :attr:`~repro.btree.leaves.LeafNode.kind` plus
+the registered :class:`LeafKindSpec` instead of probing concrete
+classes.  New representations (gapped leaves, hash leaves, ...) become
+one :func:`register_leaf_kind` call plus a ``leaf_kinds`` selection on
 :class:`~repro.core.config.ElasticConfig` — no edits to the conversion
 machinery.
 

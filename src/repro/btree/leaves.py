@@ -57,7 +57,7 @@ class LeafNode(abc.ABC):
     #: verify loads the adaptive row cache can short-circuit.
     indirect_keys: bool = False
 
-    #: Query-access counter maintained by elastic hosts, consumed by
+    #: Query-access counter bumped by every host read path, consumed by
     #: access-aware grow/shrink policies (section 4's future-work policy,
     #: implemented as :class:`repro.core.policies.ColdFirstPolicy`).
     #: Class default 0; incrementing creates the instance attribute.
@@ -66,16 +66,6 @@ class LeafNode(abc.ABC):
     next_leaf: Optional["LeafNode"]
     prev_leaf: Optional["LeafNode"]
     node_id: int
-
-    @property
-    def is_compact(self) -> bool:
-        """Derived compatibility probe: ``kind == "compact"``.
-
-        :attr:`kind` is the canonical discriminator; this property is
-        kept for external callers and tests that still speak the paper's
-        two-point full/compact vocabulary.
-        """
-        return self.kind == "compact"
 
     # -- capacity -------------------------------------------------------
     @property

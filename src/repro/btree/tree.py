@@ -7,6 +7,7 @@ from itertools import islice
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
+from repro.btree.kinds import leaf_kind
 from repro.btree.leaves import (
     LeafFullError,
     LeafNode,
@@ -14,6 +15,7 @@ from repro.btree.leaves import (
     TID_BYTES,
     next_node_id,
 )
+from repro.errors import LeafKindError
 from repro.memory.allocator import TrackingAllocator
 from repro.memory.cost_model import CostModel, NULL_COST_MODEL
 from repro.obs import BatchDescentEvent, MlpWaveEvent
@@ -178,6 +180,10 @@ class BPlusTree:
         #: Optional adaptive read cache (:class:`repro.cache.IndexCache`);
         #: ``None`` adds nothing but an untaken branch to any path.
         self.cache = None
+        #: Optional elasticity controller
+        #: (:class:`repro.core.elasticity.ElasticityController`), set by
+        #: its ``attach``; ``None`` keeps the tree rigid.
+        self.controller = None
 
     # ------------------------------------------------------------------
     # Descent
@@ -195,32 +201,6 @@ class BPlusTree:
         if self.trace is not None:
             self.trace.append(node.node_id)
         return path, node
-
-    def _descend_bounded(
-        self, key: bytes
-    ) -> Tuple[Path, LeafNode, Optional[bytes]]:
-        """Like :meth:`descend`, but also return the leaf's upper bound.
-
-        The bound is the tightest separator above the taken path (or
-        ``None`` for the rightmost leaf): every key < bound routes to the
-        same leaf, which is what lets batched inserts reuse one descent
-        for a run of consecutive keys.
-        """
-        path: Path = []
-        hi: Optional[bytes] = None
-        node = self.root
-        while isinstance(node, InnerNode):
-            if self.trace is not None:
-                self.trace.append(node.node_id)
-            idx = node.route(key)
-            if idx < len(node.keys):
-                # Separator ranges nest, so deeper bounds are tighter.
-                hi = node.keys[idx]
-            path.append((node, idx))
-            node = node.children[idx]
-        if self.trace is not None:
-            self.trace.append(node.node_id)
-        return path, node, hi
 
     def _descend_fenced(
         self, key: bytes
@@ -259,7 +239,20 @@ class BPlusTree:
         ``"cache"`` category, so — since :attr:`index_bytes` sums every
         non-table category — it competes with the tree's own leaves for
         any elastic soft bound.
+
+        Raises:
+            LeafKindError: on an elastic tree, naming the first enabled
+                leaf kind that does not support caching
+                (:attr:`~repro.btree.kinds.LeafKindSpec.cache_supported`).
         """
+        if self.controller is not None:
+            for kind_name in self.controller.config.leaf_kinds:
+                if not leaf_kind(kind_name).cache_supported:
+                    raise LeafKindError(
+                        f"leaf kind {kind_name!r} does not support the "
+                        "adaptive cache; drop it from leaf_kinds or skip "
+                        "attach_cache"
+                    )
         cache.bind(self.allocator, self.cost, self.key_width)
         self.cache = cache
 
@@ -358,22 +351,39 @@ class BPlusTree:
     def lookup(self, key: bytes) -> Optional[int]:
         """Point query: tuple id for ``key`` or ``None``."""
         cache = self.cache
+        controller = self.controller
         if cache is None:
-            _, leaf = self.descend(key)
-            return leaf.lookup(key)
+            path, leaf = self.descend(key)
+            leaf.access_count += 1
+            tid = leaf.lookup(key)
+            if controller is not None:
+                controller.on_search_leaf(path, leaf)
+                controller.run_pending()
+            return tid
         tid = cache.probe_row(key)
         if tid is not None:
+            # Cache hit: the tree is not touched, so no elasticity hooks
+            # fire — structure evolution may diverge from the uncached
+            # run, but results cannot.
             return tid
         epoch = self.structural_epoch
+        path = None
         leaf = cache.probe_leaf(key, epoch)
         if leaf is not None:
+            leaf.access_count += 1
             tid = leaf.lookup(key)
         else:
-            _, leaf, lo, hi = self._descend_fenced(key)
+            path, leaf, lo, hi = self._descend_fenced(key)
+            leaf.access_count += 1
             tid = leaf.lookup(key)
             cache.admit_leaf(lo, hi, leaf, epoch)
         if tid is not None and leaf.indirect_keys:
             cache.admit_row(key, tid)
+        if controller is not None:
+            # A leaf-cache hit has no path, so it gets no expansion split.
+            if path is not None:
+                controller.on_search_leaf(path, leaf)
+            controller.run_pending()
         return tid
 
     def lookup_batch(self, keys: Sequence[bytes]) -> List[Optional[int]]:
@@ -388,17 +398,23 @@ class BPlusTree:
         if not keys:
             return results
         cache = self.cache
+        controller = self.controller
         if cache is not None:
             # Probe the whole batch first; only misses pay for descents.
             keys, positions = self._probe_batch(cache, keys, results)
             if not keys:
+                if controller is not None:
+                    controller.run_pending()
                 return results
         order, run = self._sorted_run(keys)
         # The batch's subtree descents and leaf accesses are independent
         # loads: under a wave width >= 2 they issue as prefetch waves.
+        # Deferred elastic work (after_batch) is structural — copies,
+        # allocs — so it runs outside the window.
         with self.cost.mlp_window() as wave:
             groups = self._partition_descend(run)
             for leaf, lo, hi in groups:
+                leaf.access_count += hi - lo
                 hits = leaf.lookup_batch(run[lo:hi])
                 compact = cache is not None and leaf.indirect_keys
                 for offset, tid in enumerate(hits):
@@ -410,6 +426,8 @@ class BPlusTree:
                         cache.admit_row(run[lo + offset], tid)
         self._emit_batch_descent("lookup", len(keys), len(groups))
         self._emit_mlp_wave("lookup", wave)
+        if controller is not None:
+            controller.after_batch(groups)
         return results
 
     @staticmethod
@@ -445,11 +463,13 @@ class BPlusTree:
         except LeafFullError:
             self.last_write_set.append(leaf.node_id)
             self.overflow_handler(self, path, leaf, key, tid)
-            self._count += 1
-            return None
-        self.last_write_set.append(leaf.node_id)
+            old = None
+        else:
+            self.last_write_set.append(leaf.node_id)
         if old is None:
             self._count += 1
+        if self.controller is not None:
+            self.controller.run_pending()
         return old
 
     def insert_sorted_batch(
@@ -471,6 +491,7 @@ class BPlusTree:
         if self.cache is not None:
             for key, _ in pairs:
                 self.cache.invalidate_row(key)
+        controller = self.controller
         order = sorted(range(len(pairs)), key=lambda i: pairs[i][0])
         self.last_write_set = []
         path: Path = []
@@ -482,7 +503,7 @@ class BPlusTree:
             if len(key) != self.key_width:
                 raise ValueError(f"key width {len(key)} != {self.key_width}")
             if leaf is None or (upper is not None and key >= upper):
-                path, leaf, upper = self._descend_bounded(key)
+                path, leaf, _, upper = self._descend_fenced(key)
                 descents += 1
             try:
                 old = leaf.upsert(key, tid)
@@ -492,8 +513,11 @@ class BPlusTree:
                 self._count += 1
                 # The handler restructured the tree (split or elastic
                 # conversion): the cached descent is no longer valid.
+                # That makes this a safe point for deferred elastic work
+                # (cold sweeps, state-change actions) to restructure it.
                 leaf = None
-                self._after_batch_structural_change()
+                if controller is not None:
+                    controller.run_pending()
                 continue
             self.last_write_set.append(leaf.node_id)
             if old is None:
@@ -501,15 +525,9 @@ class BPlusTree:
             else:
                 results[i] = old
         self._emit_batch_descent("insert", len(pairs), descents)
+        if controller is not None:
+            controller.run_pending()
         return results
-
-    def _after_batch_structural_change(self) -> None:
-        """Hook invoked after a structural event inside a batched insert.
-
-        The elastic tree drains deferred policy actions here — the point
-        where no cached descent state is live, so conversions and sweeps
-        may restructure the tree safely mid-batch.
-        """
 
     def remove(self, key: bytes) -> Optional[int]:
         """Remove ``key``; returns its tuple id or ``None`` if absent."""
@@ -518,18 +536,19 @@ class BPlusTree:
         self.last_write_set = []
         path, leaf = self.descend(key)
         tid = leaf.remove(key)
-        if tid is None:
-            return None
-        self.last_write_set.append(leaf.node_id)
-        self._count -= 1
-        # A root leaf has no siblings to rebalance with, but a
-        # *converted* (indirect-key) root leaf must still see underflow
-        # events so the elasticity algorithm can step it back down the
-        # ladder.
-        if leaf.count < leaf.underflow_threshold and (
-            path or leaf.indirect_keys
-        ):
-            self.underflow_handler(self, path, leaf)
+        if tid is not None:
+            self.last_write_set.append(leaf.node_id)
+            self._count -= 1
+            # A root leaf has no siblings to rebalance with, but a
+            # *converted* (indirect-key) root leaf must still see
+            # underflow events so the elasticity algorithm can step it
+            # back down the ladder.
+            if leaf.count < leaf.underflow_threshold and (
+                path or leaf.indirect_keys
+            ):
+                self.underflow_handler(self, path, leaf)
+        if self.controller is not None:
+            self.controller.run_pending()
         return tid
 
     # ------------------------------------------------------------------
@@ -537,8 +556,16 @@ class BPlusTree:
     # ------------------------------------------------------------------
     def scan(self, start_key: bytes, count: int) -> List[Tuple[bytes, int]]:
         """Collect up to ``count`` items with key >= ``start_key``."""
-        _, leaf = self.descend(start_key)
-        return self._collect_scan(leaf, start_key, count)
+        path, leaf = self.descend(start_key)
+        leaf.access_count += 1
+        controller = self.controller
+        if controller is not None and controller.on_search_leaf(path, leaf):
+            # The leaf was split while expanding; restart on fresh nodes.
+            _, leaf = self.descend(start_key)
+        result = self._collect_scan(leaf, start_key, count)
+        if controller is not None:
+            controller.run_pending()
+        return result
 
     def scan_batch(
         self, start_keys: Sequence[bytes], count: int
@@ -559,12 +586,15 @@ class BPlusTree:
         with self.cost.mlp_window() as wave:
             groups = self._partition_descend(run)
             for leaf, lo, hi in groups:
+                leaf.access_count += hi - lo
                 for offset in range(lo, hi):
                     results[order[offset]] = self._collect_scan(
                         leaf, run[offset], count
                     )
         self._emit_batch_descent("scan", len(start_keys), len(groups))
         self._emit_mlp_wave("scan", wave)
+        if self.controller is not None:
+            self.controller.after_batch(groups)
         return results
 
     def _collect_scan(

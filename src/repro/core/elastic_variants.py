@@ -27,7 +27,9 @@ class ElasticBwTree(BwTreeIndex):
     """A Bw-tree whose delta leaves elastically convert to blind tries.
 
     Identical wiring to :class:`~repro.core.ElasticBPlusTree`: the
-    controller intercepts overflow/underflow events; conversions replace
+    controller intercepts overflow/underflow events, and the inherited
+    B+-tree read/write paths call it through ``self.controller``
+    (scalar and batched alike, cache attached or not); conversions replace
     a consolidated delta leaf with a compact leaf of twice the capacity,
     and reversions rebuild a fresh delta leaf (base only, empty chain).
     """
@@ -52,7 +54,7 @@ class ElasticBwTree(BwTreeIndex):
         )
         self.table = table
         self.config = config
-        self.controller = make_elastic(self, config, table, policy)
+        make_elastic(self, config, table, policy)
 
     def make_standard_leaf(self, items: List[Tuple[bytes, int]]) -> LeafNode:
         """Reversion target: a consolidated delta leaf."""
@@ -60,31 +62,6 @@ class ElasticBwTree(BwTreeIndex):
             self.key_width, self.leaf_capacity, self.allocator, self.cost,
             items=items,
         )
-
-    def lookup(self, key: bytes) -> Optional[int]:
-        path, leaf = self.descend(key)
-        result = leaf.lookup(key)
-        self.controller.on_search_leaf(path, leaf)
-        self.controller.run_pending()
-        return result
-
-    def scan(self, start_key: bytes, count: int) -> List[Tuple[bytes, int]]:
-        path, leaf = self.descend(start_key)
-        if self.controller.on_search_leaf(path, leaf):
-            _, leaf = self.descend(start_key)
-        result = self._collect_scan(leaf, start_key, count)
-        self.controller.run_pending()
-        return result
-
-    def insert(self, key: bytes, tid: int) -> Optional[int]:
-        result = super().insert(key, tid)
-        self.controller.run_pending()
-        return result
-
-    def remove(self, key: bytes) -> Optional[int]:
-        result = super().remove(key)
-        self.controller.run_pending()
-        return result
 
     @property
     def pressure_state(self) -> PressureState:

@@ -25,8 +25,8 @@ leaves between the registered leaf kinds (:mod:`repro.btree.kinds`):
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro import obs
 from repro.blindi.leaf import CompactLeaf
@@ -90,7 +90,7 @@ class ElasticityController:
         #: Deferred policy actions: state-change hooks fire inside
         #: overflow/underflow handling, where structural rewrites of
         #: unrelated leaves would invalidate the in-flight operation's
-        #: path.  Policies queue work here; the elastic tree drains it at
+        #: path.  Policies queue work here; the host drains it at
         #: operation boundaries.
         self.pending_actions: List = []
 
@@ -98,13 +98,17 @@ class ElasticityController:
     # Wiring
     # ------------------------------------------------------------------
     def attach(self, tree: BPlusTree) -> None:
-        """Install the elastic overflow/underflow handlers on ``tree``."""
+        """Install the elastic overflow/underflow handlers on ``tree``
+        and set ``tree.controller``, through which the host's read and
+        write paths call :meth:`on_search_leaf`, :meth:`after_batch`
+        and :meth:`run_pending`."""
         self.tree = tree
         self.kind_context = LeafKindContext(
             tree=tree, table=self.table, config=self.config
         )
         tree.overflow_handler = self._handle_overflow
         tree.underflow_handler = self._handle_underflow
+        tree.controller = self
 
     @property
     def state(self) -> PressureState:
@@ -140,6 +144,41 @@ class ElasticityController:
         while self.pending_actions:
             action = self.pending_actions.pop(0)
             action()
+
+    def after_batch(self, groups) -> None:
+        """Operation boundary of a batched read over ``(leaf, lo, hi)``
+        groups: give each visited converted leaf its deferred expansion
+        chances, then run pending actions.
+
+        Mirrors the scalar path's ``on_search_leaf`` per query: a leaf a
+        batch touched ``hi - lo`` times gets up to that many split
+        chances.  Expansion splits are deferred because they restructure
+        the tree, which would invalidate the batch's run partition; each
+        attempt re-descends for a fresh path, and stops once the leaf is
+        replaced.  Outside the expanding state, only churn-heavy learned
+        leaves get visits — the scalar path demotes those on any search
+        while memory allows (DESIGN.md §11).
+        """
+        state = self.budget.state
+        if state is PressureState.SHRINKING:
+            groups = []
+        elif state is not PressureState.EXPANDING:
+            retrains = self.config.learned_churn_retrains
+            groups = [
+                (leaf, lo, hi) for leaf, lo, hi in groups
+                if leaf.kind == "learned" and leaf.retrain_count >= retrains
+            ]
+        tree = self.tree
+        for leaf, lo, hi in groups:
+            for _ in range(hi - lo):
+                if leaf.kind == "standard" or leaf.count < 2:
+                    break
+                path, found = tree.descend(leaf.first_key())
+                if found is not leaf:
+                    break
+                if self.on_search_leaf(path, found):
+                    break
+        self.run_pending()
 
     def set_soft_bound(self, new_bound_bytes: int) -> PressureState:
         """Move the soft bound at runtime (budget-arbiter entry point).
@@ -399,9 +438,6 @@ class ElasticityController:
                     ))
         self.observe()
 
-    # Backwards-compatible alias (pre-registry name).
-    _expansion_split = _split_down
-
     # ------------------------------------------------------------------
     # Cold-first sweeps (ColdFirstPolicy: section 4's future-work policy)
     # ------------------------------------------------------------------
@@ -529,11 +565,6 @@ class ElasticityController:
         self._count_conversion(kind, converted)
         self.observe()
         return converted
-
-    def bulk_compact(self) -> int:
-        """Convert every standard leaf to a compact leaf at once
-        (backwards-compatible name for ``bulk_convert("compact")``)."""
-        return self.bulk_convert("compact")
 
     # ------------------------------------------------------------------
     # Lattice retargeting (self-tuning advisor's swap_preset family)

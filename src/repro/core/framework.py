@@ -5,7 +5,15 @@ key storage, such as a B+-tree, skip list, or Bw-Tree."  The
 :class:`~repro.core.elasticity.ElasticityController` only talks to its
 host through the small surface below; any ordered index whose data sits
 in leaf-ADT nodes (:class:`~repro.btree.leaves.LeafNode`) can be made
-elastic by implementing it.  Three hosts ship with this library:
+elastic by implementing it.
+
+Elasticity attaches like the read cache: as one optional attribute,
+``host.controller``.  The host owns a single read/write path and calls
+the controller from it when one is attached — ``on_search_leaf`` after
+a search ends at a leaf, ``after_batch`` after a batched read, and
+``run_pending`` at every other operation boundary.  A rigid host leaves
+``controller`` at ``None``.  Three hosts ship with this library, each
+built through :func:`make_elastic`:
 
 * :class:`~repro.core.elastic_btree.ElasticBPlusTree` — the paper's
   demonstration instance;
@@ -40,6 +48,9 @@ class ElasticHost(Protocol):
     # -- wiring -----------------------------------------------------------
     overflow_handler: Any
     underflow_handler: Any
+    #: The attached controller, or ``None`` on a rigid host; the host's
+    #: read/write paths call it at searches and operation boundaries.
+    controller: Optional[ElasticityController]
     allocator: TrackingAllocator
     cost: CostModel
     key_width: int
@@ -89,9 +100,10 @@ def make_elastic(
     """Attach an elasticity controller to ``host`` and return it.
 
     After this call the host's overflow/underflow events are routed
-    through the elasticity algorithm.  The host remains responsible for
-    invoking ``controller.on_search_leaf`` after searches (expansion
-    splits) and ``controller.run_pending`` at operation boundaries.
+    through the elasticity algorithm, and ``host.controller`` is set, so
+    the host's own read/write paths call ``on_search_leaf`` after
+    searches (expansion splits), ``after_batch`` after batched reads and
+    ``run_pending`` at operation boundaries.
     """
     controller = ElasticityController(config, table, policy)
     controller.attach(host)

@@ -148,7 +148,9 @@ class EagerCompactionPolicy(PaperPolicy):
             # Deferred: the transition is usually observed from inside an
             # overflow handler, where rewriting other leaves would
             # invalidate the in-flight insert's descent path.
-            controller.pending_actions.append(controller.bulk_compact)
+            controller.pending_actions.append(
+                lambda: controller.bulk_convert("compact")
+            )
             if obs.is_enabled():
                 obs.emit(PolicyActionEvent(
                     policy="eager_compaction", action="bulk_compact",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from repro.core.config import ElasticConfig
 from repro.core.framework import make_elastic
@@ -44,33 +44,8 @@ class ElasticFatSkipList(FatSkipList):
         )
         self.table = table
         self.config = config
-        self.controller = make_elastic(self, config, table, policy)
+        make_elastic(self, config, table, policy)
 
     @property
     def pressure_state(self) -> PressureState:
         return self.controller.state
-
-    def lookup(self, key: bytes) -> Optional[int]:
-        path = self.find(key)
-        result = path.tower.block.lookup(key)
-        self.controller.on_search_leaf(path, path.tower.block)
-        self.controller.run_pending()
-        return result
-
-    def scan(self, start_key: bytes, count: int) -> List[Tuple[bytes, int]]:
-        path = self.find(start_key)
-        if self.controller.on_search_leaf(path, path.tower.block):
-            path = self.find(start_key)
-        result = self._collect_scan(path.tower.block, start_key, count)
-        self.controller.run_pending()
-        return result
-
-    def insert(self, key: bytes, tid: int) -> Optional[int]:
-        result = super().insert(key, tid)
-        self.controller.run_pending()
-        return result
-
-    def remove(self, key: bytes) -> Optional[int]:
-        result = super().remove(key)
-        self.controller.run_pending()
-        return result

@@ -75,6 +75,9 @@ class FatSkipList:
         self._count = 0
         self.overflow_handler = FatSkipList.split_overflow_handler
         self.underflow_handler = FatSkipList.rebalance_underflow_handler
+        #: Optional elasticity controller, set by its ``attach`` exactly
+        #: as on :class:`~repro.btree.tree.BPlusTree`.
+        self.controller = None
         self.append_split_fraction = 0.7
         self._charge_tower(self._head, +1)
 
@@ -125,7 +128,13 @@ class FatSkipList:
     # ------------------------------------------------------------------
     def lookup(self, key: bytes) -> Optional[int]:
         path = self.find(key)
-        return path.tower.block.lookup(key)
+        block = path.tower.block
+        block.access_count += 1
+        tid = block.lookup(key)
+        if self.controller is not None:
+            self.controller.on_search_leaf(path, block)
+            self.controller.run_pending()
+        return tid
 
     def insert(self, key: bytes, tid: int) -> Optional[int]:
         if len(key) != self.key_width:
@@ -136,21 +145,23 @@ class FatSkipList:
             old = block.upsert(key, tid)
         except LeafFullError:
             self.overflow_handler(self, path, block, key, tid)
-            self._count += 1
-            return None
+            old = None
         if old is None:
             self._count += 1
+        if self.controller is not None:
+            self.controller.run_pending()
         return old
 
     def remove(self, key: bytes) -> Optional[int]:
         path = self.find(key)
         block = path.tower.block
         tid = block.remove(key)
-        if tid is None:
-            return None
-        self._count -= 1
-        if block.count < block.underflow_threshold:
-            self.underflow_handler(self, path, block)
+        if tid is not None:
+            self._count -= 1
+            if block.count < block.underflow_threshold:
+                self.underflow_handler(self, path, block)
+        if self.controller is not None:
+            self.controller.run_pending()
         return tid
 
     # ------------------------------------------------------------------
@@ -158,7 +169,16 @@ class FatSkipList:
     # ------------------------------------------------------------------
     def scan(self, start_key: bytes, count: int) -> List[Tuple[bytes, int]]:
         path = self.find(start_key)
-        return self._collect_scan(path.tower.block, start_key, count)
+        block = path.tower.block
+        block.access_count += 1
+        controller = self.controller
+        if controller is not None and controller.on_search_leaf(path, block):
+            # The block was split while expanding; restart on fresh towers.
+            block = self.find(start_key).tower.block
+        result = self._collect_scan(block, start_key, count)
+        if controller is not None:
+            controller.run_pending()
+        return result
 
     def _collect_scan(
         self, block: Optional[LeafNode], start_key: bytes, count: int

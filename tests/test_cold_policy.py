@@ -48,7 +48,7 @@ def hot_leaf_census(tree):
     while leaf is not None:
         first = next(iter(leaf.items()))[0] if leaf.count else None
         if first is not None and first < boundary:
-            if leaf.is_compact:
+            if leaf.kind == "compact":
                 compact += 1
             else:
                 standard += 1

@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.btree.stats import collect_stats
+from repro.cache import CacheConfig, IndexCache
 from repro.core.config import ElasticConfig
+from repro.core.elastic_btree import ElasticBPlusTree
 from repro.core.elastic_variants import ElasticBwTree
 from repro.core.framework import ElasticHost
+from repro.core.policies import EagerCompactionPolicy
 from repro.keys.encoding import encode_u64
 from repro.memory.allocator import TrackingAllocator
 from repro.memory.budget import PressureState
@@ -25,21 +28,30 @@ def make_fat(source, leaf_capacity=8):
     return FatSkipList(8, leaf_capacity, alloc, source.cost)
 
 
-def make_elastic_skiplist(source, bound=30_000, **cfg):
+def make_elastic_skiplist(source, bound=30_000, policy=None, **cfg):
     alloc = TrackingAllocator(use_size_classes=False, cost_model=source.cost)
     config = ElasticConfig(size_bound_bytes=bound, **cfg)
     return ElasticFatSkipList(
         source.table, config, key_width=8, leaf_capacity=16,
-        allocator=alloc, cost_model=source.cost,
+        allocator=alloc, cost_model=source.cost, policy=policy,
     )
 
 
-def make_elastic_bwtree(source, bound=30_000, **cfg):
+def make_elastic_bwtree(source, bound=30_000, policy=None, **cfg):
     alloc = TrackingAllocator(use_size_classes=False, cost_model=source.cost)
     config = ElasticConfig(size_bound_bytes=bound, **cfg)
     return ElasticBwTree(
         source.table, config, key_width=8,
-        allocator=alloc, cost_model=source.cost,
+        allocator=alloc, cost_model=source.cost, policy=policy,
+    )
+
+
+def make_elastic_btree(source, bound=30_000, policy=None, **cfg):
+    alloc = TrackingAllocator(use_size_classes=False, cost_model=source.cost)
+    config = ElasticConfig(size_bound_bytes=bound, **cfg)
+    return ElasticBPlusTree(
+        source.table, config, key_width=8,
+        allocator=alloc, cost_model=source.cost, policy=policy,
     )
 
 
@@ -217,9 +229,73 @@ def test_bulk_compact_works_on_skiplist():
     index = make_elastic_skiplist(source, bound=100_000_000)
     for v in range(1000):
         index.insert(*source.add(v))
-    converted = index.controller.bulk_compact()
+    converted = index.controller.bulk_convert("compact")
     assert converted > 0
     assert index.allocator.bytes_in("leaf.standard") == 0
     for v in range(0, 1000, 37):
         assert index.lookup(encode_u64(v)) is not None
     index.check_invariants()
+
+
+# ----------------------------------------------------------------------
+# One read/write path per host: every elastic host calls its controller
+# from the same scalar, batched and cached paths.
+# ----------------------------------------------------------------------
+ALL_ELASTIC_HOSTS = [
+    pytest.param(make_elastic_btree, id="btree"),
+    *ELASTIC_VARIANTS,
+]
+
+
+@pytest.mark.parametrize("factory", [
+    pytest.param(make_elastic_btree, id="btree"),
+    pytest.param(make_elastic_bwtree, id="bwtree"),
+])
+def test_batched_inserts_drain_deferred_actions(factory):
+    """The eager policy's bulk compaction, queued when shrinking starts,
+    runs at a batch boundary instead of waiting in the queue."""
+    source = U64Source()
+    index = factory(source, bound=20_000, policy=EagerCompactionPolicy())
+    for start in range(0, 3000, 200):
+        index.insert_sorted_batch(
+            [source.add(v) for v in range(start, start + 200)]
+        )
+    assert index.pressure_state is PressureState.SHRINKING
+    assert index.controller.pending_actions == []
+    assert index.allocator.bytes_in("leaf.compact") > 0
+
+
+@pytest.mark.parametrize("factory", ALL_ELASTIC_HOSTS)
+def test_lookups_count_leaf_accesses(factory):
+    """Access-aware policies read ``access_count``; every host's lookup
+    path maintains it."""
+    source = U64Source()
+    index = factory(source, bound=100_000_000)
+    for v in range(1000):
+        index.insert(*source.add(v))
+    rng = random.Random(5)
+    for _ in range(500):
+        assert index.lookup(encode_u64(rng.randrange(1000))) is not None
+    total = 0
+    leaf = index.first_leaf
+    while leaf is not None:
+        total += leaf.access_count
+        leaf = leaf.next_leaf
+    assert total == 500
+
+
+def test_bwtree_lookup_uses_attached_cache():
+    source = U64Source()
+    index = make_elastic_bwtree(source, bound=100_000_000)
+    model = SortedModel()
+    for v in range(600):
+        key, tid = source.add(v)
+        index.insert(key, tid)
+        model.insert(key, tid)
+    cache = IndexCache(CacheConfig(budget_bytes=32 * 1024, sketch_width=256))
+    index.attach_cache(cache)
+    for _ in range(3):
+        for v in range(0, 600, 7):
+            key = encode_u64(v)
+            assert index.lookup(key) == model.lookup(key)
+    assert cache.stats.hits > 0

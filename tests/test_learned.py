@@ -22,6 +22,7 @@ from repro.btree.leaves import StandardLeaf
 from repro.btree.stats import collect_stats
 from repro.core.config import ElasticConfig
 from repro.core.elastic_btree import ElasticBPlusTree
+from repro.core.elastic_variants import ElasticBwTree
 from repro.errors import LeafKindError
 from repro.keys.encoding import encode_u64
 from repro.learned.leaf import LearnedLeaf
@@ -335,5 +336,12 @@ class TestRegistry:
                                 leaf_kinds=("standard", "nocache"))
             with pytest.raises(LeafKindError, match="nocache"):
                 tree.attach_cache(object())
+            bwtree = ElasticBwTree(
+                source.table,
+                ElasticConfig(size_bound_bytes=1 << 40,
+                              leaf_kinds=("standard", "nocache")),
+            )
+            with pytest.raises(LeafKindError, match="nocache"):
+                bwtree.attach_cache(object())
         finally:
             unregister_leaf_kind("nocache")
