@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple, Union
 
 from repro.baselines.interface import OrderedIndex
+from repro.keys.encoding import key_width_error
 from repro.memory.cost_model import CostModel, NULL_COST_MODEL
 
 _TID_BYTES = 8
@@ -132,6 +133,8 @@ class ARTIndex(OrderedIndex):
     # Point operations
     # ------------------------------------------------------------------
     def lookup(self, key: bytes) -> Optional[int]:
+        if len(key) != self.key_width:
+            raise key_width_error(key, self.key_width)
         node = self._root
         depth = 0
         while node is not None:
@@ -150,7 +153,7 @@ class ARTIndex(OrderedIndex):
 
     def insert(self, key: bytes, tid: int) -> Optional[int]:
         if len(key) != self.key_width:
-            raise ValueError("key width mismatch")
+            raise key_width_error(key, self.key_width)
         if self._root is None:
             leaf = _Leaf(key, tid)
             self._charge_node(leaf, +1)
@@ -222,6 +225,8 @@ class ARTIndex(OrderedIndex):
         return node
 
     def remove(self, key: bytes) -> Optional[int]:
+        if len(key) != self.key_width:
+            raise key_width_error(key, self.key_width)
         if self._root is None:
             return None
         removed: List[Optional[int]] = [None]
@@ -274,6 +279,8 @@ class ARTIndex(OrderedIndex):
     # Scans: keys are in the leaves, no table loads needed
     # ------------------------------------------------------------------
     def scan(self, start_key: bytes, count: int) -> List[Tuple[bytes, int]]:
+        if len(start_key) != self.key_width:
+            raise key_width_error(start_key, self.key_width)
         out: List[Tuple[bytes, int]] = []
         if self._root is None or count <= 0:
             return out

@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple, Union
 
 from repro.keys.bitops import first_diff_bit, get_bit
+from repro.keys.encoding import key_width_error
 from repro.memory.cost_model import CostModel, NULL_COST_MODEL
 from repro.baselines.interface import OrderedIndex
 from repro.table.table import Table
@@ -111,6 +112,8 @@ class HOTIndex(OrderedIndex):
         return node, depth
 
     def lookup(self, key: bytes) -> Optional[int]:
+        if len(key) != self.key_width:
+            raise key_width_error(key, self.key_width)
         if self._root is None:
             return None
         leaf, depth = self._descend(key)
@@ -120,6 +123,8 @@ class HOTIndex(OrderedIndex):
         return leaf.tid if loaded == key else None
 
     def insert(self, key: bytes, tid: int) -> Optional[int]:
+        if len(key) != self.key_width:
+            raise key_width_error(key, self.key_width)
         self.last_write_set = []
         if self._root is None:
             self._root = _PLeaf(tid)
@@ -165,6 +170,8 @@ class HOTIndex(OrderedIndex):
         return None
 
     def remove(self, key: bytes) -> Optional[int]:
+        if len(key) != self.key_width:
+            raise key_width_error(key, self.key_width)
         if self._root is None:
             return None
         parent: Optional[_PNode] = None
@@ -200,6 +207,8 @@ class HOTIndex(OrderedIndex):
     # Scans: the expensive operation (one table load per key)
     # ------------------------------------------------------------------
     def scan(self, start_key: bytes, count: int) -> List[Tuple[bytes, int]]:
+        if len(start_key) != self.key_width:
+            raise key_width_error(start_key, self.key_width)
         out: List[Tuple[bytes, int]] = []
         if self._root is None or count <= 0:
             return out

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.btree.tree import BPlusTree
 from repro.memory.allocator import TrackingAllocator
 from repro.baselines.interface import OrderedIndex
+from repro.keys.encoding import key_width_error
 from repro.memory.cost_model import CostModel, NULL_COST_MODEL
 
 _TID_BYTES = 8
@@ -132,6 +133,8 @@ class HybridIndex(OrderedIndex):
     # OrderedIndex protocol
     # ------------------------------------------------------------------
     def insert(self, key: bytes, tid: int) -> Optional[int]:
+        if len(key) != self.key_width:
+            raise key_width_error(key, self.key_width)
         was_tombstoned = self._tombstones.pop(key, None) is not None
         old = self._dynamic.insert(key, tid)
         if old is None and not was_tombstoned:
@@ -143,6 +146,8 @@ class HybridIndex(OrderedIndex):
         return old
 
     def lookup(self, key: bytes) -> Optional[int]:
+        if len(key) != self.key_width:
+            raise key_width_error(key, self.key_width)
         if key in self._tombstones:
             return None
         found = self._dynamic.lookup(key)
@@ -151,6 +156,8 @@ class HybridIndex(OrderedIndex):
         return self._static.lookup(key)
 
     def remove(self, key: bytes) -> Optional[int]:
+        if len(key) != self.key_width:
+            raise key_width_error(key, self.key_width)
         old = self._dynamic.remove(key)
         if old is not None:
             # A stale static copy must not resurrect at the next lookup.
@@ -168,6 +175,8 @@ class HybridIndex(OrderedIndex):
         return old
 
     def scan(self, start_key: bytes, count: int) -> List[Tuple[bytes, int]]:
+        if len(start_key) != self.key_width:
+            raise key_width_error(start_key, self.key_width)
         out: List[Tuple[bytes, int]] = []
         dyn_iter = self._dynamic.iter_from(start_key)
         dyn_item = next(dyn_iter, None)

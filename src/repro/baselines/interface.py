@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
+from repro.keys.encoding import check_key_widths
+
 
 @runtime_checkable
 class OrderedIndex(Protocol):
@@ -94,6 +96,7 @@ def lookup_batch_fallback(
     index: OrderedIndex, keys: Sequence[bytes]
 ) -> List[Optional[int]]:
     """Scalar-loop batch lookup; results align with the input order."""
+    check_key_widths(keys, index.key_width)
     results: List[Optional[int]] = [None] * len(keys)
     for i in sorted(range(len(keys)), key=keys.__getitem__):
         results[i] = index.lookup(keys[i])
@@ -108,6 +111,7 @@ def insert_batch_fallback(
     Duplicate keys within the batch apply in input order (stable sort on
     the key), so the outcome matches a plain input-order loop.
     """
+    check_key_widths((key for key, _ in pairs), index.key_width)
     results: List[Optional[int]] = [None] * len(pairs)
     for i in sorted(range(len(pairs)), key=lambda i: pairs[i][0]):
         key, tid = pairs[i]
@@ -119,6 +123,7 @@ def scan_batch_fallback(
     index: OrderedIndex, start_keys: Sequence[bytes], count: int
 ) -> List[List[Tuple[bytes, int]]]:
     """Scalar-loop batch scan; results align with the input order."""
+    check_key_widths(start_keys, index.key_width)
     results: List[List[Tuple[bytes, int]]] = [[] for _ in start_keys]
     for i in sorted(range(len(start_keys)), key=start_keys.__getitem__):
         results[i] = index.scan(start_keys[i], count)

@@ -14,6 +14,7 @@ from typing import Iterator, List, Optional, Tuple, Union
 from repro.btree.tree import BPlusTree
 from repro.memory.allocator import TrackingAllocator
 from repro.baselines.interface import OrderedIndex
+from repro.keys.encoding import key_width_error
 from repro.memory.cost_model import CostModel, NULL_COST_MODEL
 
 _SLICE = 8
@@ -86,6 +87,10 @@ class MasstreeIndex(OrderedIndex):
         self._free.append(slot)
 
     def _pad(self, key: bytes) -> bytes:
+        """``key`` zero-padded to whole slices; every operation starts
+        here, so this is where a key of the wrong width is refused."""
+        if len(key) != self.key_width:
+            raise key_width_error(key, self.key_width)
         return key.ljust(self.padded_width, b"\x00")
 
     # ------------------------------------------------------------------

@@ -13,6 +13,7 @@ import random
 from typing import List, Optional, Tuple
 
 from repro.baselines.interface import OrderedIndex
+from repro.keys.encoding import key_width_error
 from repro.memory.cost_model import CostModel, NULL_COST_MODEL
 
 _NODE_HEADER_BYTES = 16  # allocation header + level count
@@ -65,7 +66,12 @@ class SkipListIndex(OrderedIndex):
         )
 
     def _find_predecessors(self, key: bytes) -> List[_Node]:
-        """Per-level predecessors of ``key`` (the classic update array)."""
+        """Per-level predecessors of ``key`` (the classic update array).
+
+        Every operation starts here, so this is where a key of the wrong
+        width is refused."""
+        if len(key) != self.key_width:
+            raise key_width_error(key, self.key_width)
         update: List[_Node] = [self._head] * _MAX_LEVEL
         node = self._head
         for level in range(self._level - 1, -1, -1):

@@ -15,7 +15,7 @@
 from __future__ import annotations
 
 import random
-from typing import List, Sequence
+from typing import List
 
 from repro.bench.harness import (
     ExperimentResult,

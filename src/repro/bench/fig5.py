@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.bench.harness import (

@@ -10,8 +10,7 @@ from the paper's plots; the driver accepts any subset.
 from __future__ import annotations
 
 import os
-import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.bench.harness import (

@@ -13,7 +13,6 @@ from typing import List, Sequence
 
 from repro.bench.harness import ExperimentResult, make_u64_environment
 from repro.concurrency.olc import OLCSimulator, record_ops
-from repro.keys.encoding import encode_u64
 from repro.workloads.distributions import ScrambledZipfianGenerator
 
 DEFAULT_THREADS = (1, 2, 4, 8, 16, 32, 48, 64, 80)

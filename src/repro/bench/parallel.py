@@ -24,7 +24,7 @@ after which extra shards only deepen the wave count.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.bench.harness import ExperimentResult
 from repro.engine import ParallelShardExecutor, build_sharded_index

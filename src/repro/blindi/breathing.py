@@ -13,8 +13,6 @@ values often coincide in measured space, as the paper observes.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro import obs
 from repro.memory.allocator import TrackingAllocator
 from repro.memory.cost_model import CostModel

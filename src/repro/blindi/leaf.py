@@ -15,7 +15,7 @@ from typing import Callable, Iterator, List, Optional, Tuple, Type
 
 from repro.btree.leaves import LeafFullError, LeafNode, next_node_id
 from repro.blindi.breathing import BreathingTidArray, TID_BYTES
-from repro.blindi.seqtrie import SeqTrieRep, _bits_of_sorted_keys
+from repro.blindi.seqtrie import SeqTrieRep
 from repro.keys.bitops import first_diff_bit
 from repro.memory.allocator import TrackingAllocator
 from repro.memory.cost_model import CostModel, NULL_COST_MODEL

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.keys.bitops import get_bit
 from repro.memory.cost_model import CostModel, NULL_COST_MODEL
 from repro.blindi.seqtrie import SeqTrieRep, _Descent
 from repro.table.table import Table
@@ -102,20 +101,21 @@ class SeqTreeRep(SeqTrieRep):
     # ------------------------------------------------------------------
     # Search: tree descent bounds the sequential scan
     # ------------------------------------------------------------------
-    def _descend(self, key: bytes) -> _Descent:
+    def _descend(self, ikey: int, top: int) -> _Descent:
         d = _Descent(lo=0, hi=len(self.bits) - 1, j=0)
         tree = self.tree
         size = len(tree)
-        if size:
-            self.cost.seq_lines(1)  # the tree is a few contiguous bytes
+        if not size:
+            return d
+        bits = self.bits
         slot = 0
+        levels = 0
         while slot < size:
             m = tree[slot]
             if m == ET:
                 break
-            self.cost.compares(1)
-            self.cost.branches(1)
-            if get_bit(key, self.bits[m]):
+            levels += 1
+            if (ikey >> (top - bits[m])) & 1:
                 d.j = m + 1
                 d.lo = m + 1
                 d.right_turn_inds.append(m)
@@ -124,6 +124,11 @@ class SeqTreeRep(SeqTrieRep):
                 d.hi = m - 1
                 d.left_turn_inds.append(m)
                 slot = 2 * slot + 1
+        # The tree is a few contiguous bytes (one line), plus one bit
+        # test and one branch per level, charged once after the loop.
+        self.cost.charge_many(
+            ("seq_line", 1), ("compare", levels), ("branch", levels)
+        )
         return d
 
     # ------------------------------------------------------------------

@@ -26,9 +26,9 @@ to restrict both scans to a small range.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from repro.keys.bitops import first_diff_bit, get_bit
+from repro.keys.bitops import first_diff_bit
 from repro.memory.cost_model import CostModel, NULL_COST_MODEL
 from repro.table.table import Table
 
@@ -136,11 +136,13 @@ class SeqTrieRep:
     # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------
-    def _descend(self, key: bytes) -> _Descent:
-        """Locate the scan range for ``key``; the base class scans all."""
+    def _descend(self, ikey: int, top: int) -> _Descent:
+        """Locate the scan range for the key whose integer value is
+        ``ikey`` (bit ``b`` is ``(ikey >> (top - b)) & 1``); the base
+        class scans all."""
         return _Descent(lo=0, hi=len(self.bits) - 1, j=0)
 
-    def _scan(self, key: bytes, lo: int, hi: int, j: int) -> int:
+    def _scan(self, ikey: int, top: int, lo: int, hi: int, j: int) -> int:
         """The SeqTrie sequential scan over ``bits[lo..hi]``."""
         count = hi - lo + 1
         if count <= 0:
@@ -157,7 +159,7 @@ class SeqTrieRep:
             b = bits[i]
             if b > threshold:
                 continue
-            if get_bit(key, b):
+            if (ikey >> (top - b)) & 1:
                 j = i + 1
                 threshold = _INF
             else:
@@ -165,17 +167,28 @@ class SeqTrieRep:
         return j
 
     def search(self, key: bytes) -> SearchResult:
-        """Predecessor search: position of ``key`` or of its predecessor."""
-        if self.n == 0:
+        """Predecessor search: position of ``key`` or of its predecessor.
+
+        The key is converted to an integer once; every bit test is a
+        shift and the discriminating bit against the verified candidate
+        is one ``bit_length`` of their XOR.
+        """
+        if not self.tids:
             return SearchResult(found=False, pos=0, pred=-1)
-        descent = self._descend(key)
-        j = self._scan(key, descent.lo, descent.hi, descent.j)
+        ikey = int.from_bytes(key, "big")
+        top = len(key) * 8 - 1
+        descent = self._descend(ikey, top)
+        j = self._scan(ikey, top, descent.lo, descent.hi, descent.j)
         candidate = self.table.load_key(self.tids[j])
         self.cost.compares(1)
-        b_d = first_diff_bit(candidate, key)
-        if b_d is None:
+        if candidate == key:
             return SearchResult(found=True, pos=j, pred=j)
-        if get_bit(key, b_d):
+        if len(candidate) != len(key):
+            raise ValueError(
+                f"key widths differ: {len(candidate)} vs {len(key)}"
+            )
+        b_d = top + 1 - (int.from_bytes(candidate, "big") ^ ikey).bit_length()
+        if (ikey >> (top - b_d)) & 1:
             # Searched key greater: all keys sharing its b_d-prefix are
             # smaller; predecessor is the last of them.
             pred = self._boundary_right(descent, j, b_d)
@@ -200,11 +213,11 @@ class SeqTrieRep:
     def _boundary_right(self, descent: _Descent, j: int, b_d: int) -> int:
         """First index >= j (in scan range, then ancestors) whose
         discriminating bit is < b_d; n-1 if none (key is a new maximum)."""
-        hi = descent.hi
+        bits = self.bits
         scanned = 0
-        for i in range(j, hi + 1):
+        for i in range(j, descent.hi + 1):
             scanned += 1
-            if self.bits[i] < b_d:
+            if bits[i] < b_d:
                 self._charge_fixup(scanned)
                 return i
         # Ancestors where the descent went left sit just beyond hi; their
@@ -212,7 +225,7 @@ class SeqTrieRep:
         # ancestor entries themselves can be the boundary.
         for ind in reversed(descent.left_turn_inds):
             scanned += 1
-            if self.bits[ind] < b_d:
+            if bits[ind] < b_d:
                 self._charge_fixup(scanned)
                 return ind
         self._charge_fixup(scanned)
@@ -221,16 +234,16 @@ class SeqTrieRep:
     def _boundary_left(self, descent: _Descent, j: int, b_d: int) -> int:
         """First index < j scanning leftward whose discriminating bit is
         < b_d; -1 if none (key is a new minimum)."""
-        lo = descent.lo
+        bits = self.bits
         scanned = 0
-        for i in range(j - 1, lo - 1, -1):
+        for i in range(j - 1, descent.lo - 1, -1):
             scanned += 1
-            if self.bits[i] < b_d:
+            if bits[i] < b_d:
                 self._charge_fixup(scanned)
                 return i
         for ind in reversed(descent.right_turn_inds):
             scanned += 1
-            if self.bits[ind] < b_d:
+            if bits[ind] < b_d:
                 self._charge_fixup(scanned)
                 return ind
         self._charge_fixup(scanned)
@@ -238,9 +251,13 @@ class SeqTrieRep:
 
     def _charge_fixup(self, scanned: int) -> None:
         if scanned:
-            self.cost.touch_bytes_seq(scanned * self.bit_entry_bytes)
-            self.cost.compares(scanned)
-            self.cost.branches(scanned)
+            # touch_bytes_seq, compares and branches fused into one charge.
+            nbytes = scanned * self.bit_entry_bytes
+            lines = (nbytes + _CACHE_LINE - 1) // _CACHE_LINE
+            self.cost.charge_many(
+                ("rand_line", 1), ("seq_line", lines - 1),
+                ("compare", scanned), ("branch", scanned),
+            )
 
     # ------------------------------------------------------------------
     # Updates

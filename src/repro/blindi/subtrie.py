@@ -14,7 +14,7 @@ plus O(n) array shifts).  Splits and merges convert through the in-order
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.keys.bitops import first_diff_bit, get_bit
 from repro.memory.cost_model import CostModel, NULL_COST_MODEL

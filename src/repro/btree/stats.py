@@ -10,7 +10,7 @@ average leaf occupancy under uniform keys (section 5.4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, TYPE_CHECKING
+from typing import Dict, TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.btree.tree import BPlusTree

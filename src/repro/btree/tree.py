@@ -16,6 +16,7 @@ from repro.btree.leaves import (
     next_node_id,
 )
 from repro.errors import LeafKindError
+from repro.keys.encoding import check_key_widths, key_width_error
 from repro.memory.allocator import TrackingAllocator
 from repro.memory.cost_model import CostModel, NULL_COST_MODEL
 from repro.obs import BatchDescentEvent, MlpWaveEvent
@@ -71,15 +72,6 @@ class InnerNode:
         """Underflow threshold for non-root inner nodes."""
         return (self.capacity + 1) // 2
 
-    def route(self, key: bytes) -> int:
-        """Index of the child subtree responsible for ``key``."""
-        keys = self.keys
-        probes = len(keys).bit_length() or 1
-        self.cost.charge_many(
-            ("rand_line", 1), ("compare", probes), ("branch", probes)
-        )
-        return bisect.bisect_right(keys, key)
-
     def insert_child(self, taken_idx: int, separator: bytes, right: Node) -> None:
         """Insert ``separator`` and ``right`` after the child at ``taken_idx``."""
         self.keys.insert(taken_idx, separator)
@@ -127,7 +119,10 @@ class BPlusTree:
     on these events (paper section 4).
 
     Args:
-        key_width: Width of all keys, in bytes.
+        key_width: Width of all keys, in bytes.  Every point, scan and
+            batch operation raises
+            :class:`~repro.errors.KeyEncodingError` for a key of another
+            width, before it charges or changes anything.
         leaf_capacity: Max keys per standard leaf (paper uses STX's 16).
         inner_capacity: Max separator keys per inner node.
         allocator: Space account; one is created if not given.  The tree's
@@ -189,17 +184,33 @@ class BPlusTree:
     # Descent
     # ------------------------------------------------------------------
     def descend(self, key: bytes) -> Tuple[Path, LeafNode]:
-        """Walk root-to-leaf for ``key``, recording the path taken."""
+        """Walk root-to-leaf for ``key``, recording the path taken.
+
+        Each inner node costs one node line plus one compare and one
+        branch per binary-search probe; the whole descent charges them
+        as one :meth:`~repro.memory.cost_model.CostModel.charge_many`
+        (a root leaf charges nothing).
+        """
         path: Path = []
         node = self.root
-        while isinstance(node, InnerNode):
-            if self.trace is not None:
-                self.trace.append(node.node_id)
-            idx = node.route(key)
+        trace = self.trace
+        probes = 0
+        bisect_right = bisect.bisect_right
+        while type(node) is InnerNode:
+            if trace is not None:
+                trace.append(node.node_id)
+            keys = node.keys
+            probes += len(keys).bit_length() or 1
+            idx = bisect_right(keys, key)
             path.append((node, idx))
             node = node.children[idx]
-        if self.trace is not None:
-            self.trace.append(node.node_id)
+        if trace is not None:
+            trace.append(node.node_id)
+        if path:
+            self.cost.charge_many(
+                ("rand_line", len(path)), ("compare", probes),
+                ("branch", probes),
+            )
         return path, node
 
     def _descend_fenced(
@@ -209,24 +220,36 @@ class BPlusTree:
 
         ``(lo, hi)`` bound the leaf's key interval (``None`` meaning
         unbounded): every key in ``[lo, hi)`` routes to this leaf, which
-        is what the descent cache memoizes.
+        is what the descent cache memoizes.  Charged exactly as
+        :meth:`descend`.
         """
         path: Path = []
         lo: Optional[bytes] = None
         hi: Optional[bytes] = None
         node = self.root
-        while isinstance(node, InnerNode):
-            if self.trace is not None:
-                self.trace.append(node.node_id)
-            idx = node.route(key)
+        trace = self.trace
+        probes = 0
+        bisect_right = bisect.bisect_right
+        while type(node) is InnerNode:
+            if trace is not None:
+                trace.append(node.node_id)
+            keys = node.keys
+            n = len(keys)
+            probes += n.bit_length() or 1
+            idx = bisect_right(keys, key)
             if idx > 0:
-                lo = node.keys[idx - 1]
-            if idx < len(node.keys):
-                hi = node.keys[idx]
+                lo = keys[idx - 1]
+            if idx < n:
+                hi = keys[idx]
             path.append((node, idx))
             node = node.children[idx]
-        if self.trace is not None:
-            self.trace.append(node.node_id)
+        if trace is not None:
+            trace.append(node.node_id)
+        if path:
+            self.cost.charge_many(
+                ("rand_line", len(path)), ("compare", probes),
+                ("branch", probes),
+            )
         return path, node, lo, hi
 
     # ------------------------------------------------------------------
@@ -289,7 +312,7 @@ class BPlusTree:
                     node = node.children[first]
                     continue
                 # The run spans several children: split it at each
-                # separator (keys == separator route right, as in route()).
+                # separator (keys == separator route right, as in descend()).
                 probe_events += last - first
                 bounds = [lo]
                 for ci in range(first, last):
@@ -350,6 +373,8 @@ class BPlusTree:
     # ------------------------------------------------------------------
     def lookup(self, key: bytes) -> Optional[int]:
         """Point query: tuple id for ``key`` or ``None``."""
+        if len(key) != self.key_width:
+            raise key_width_error(key, self.key_width)
         cache = self.cache
         controller = self.controller
         if cache is None:
@@ -394,6 +419,7 @@ class BPlusTree:
         leaf answers its whole slice of the run in one visit (batched
         indirect key loads on compact leaves).
         """
+        check_key_widths(keys, self.key_width)
         results: List[Optional[int]] = [None] * len(keys)
         if not keys:
             return results
@@ -453,7 +479,7 @@ class BPlusTree:
     def insert(self, key: bytes, tid: int) -> Optional[int]:
         """Insert or replace; returns the replaced tuple id if any."""
         if len(key) != self.key_width:
-            raise ValueError(f"key width {len(key)} != {self.key_width}")
+            raise key_width_error(key, self.key_width)
         if self.cache is not None:
             self.cache.invalidate_row(key)
         self.last_write_set = []
@@ -485,6 +511,7 @@ class BPlusTree:
         back to a fresh descent, so overflow/underflow handlers fire
         exactly as in scalar execution.
         """
+        check_key_widths((key for key, _ in pairs), self.key_width)
         results: List[Optional[int]] = [None] * len(pairs)
         if not pairs:
             return results
@@ -500,8 +527,6 @@ class BPlusTree:
         descents = 0
         for i in order:
             key, tid = pairs[i]
-            if len(key) != self.key_width:
-                raise ValueError(f"key width {len(key)} != {self.key_width}")
             if leaf is None or (upper is not None and key >= upper):
                 path, leaf, _, upper = self._descend_fenced(key)
                 descents += 1
@@ -531,6 +556,8 @@ class BPlusTree:
 
     def remove(self, key: bytes) -> Optional[int]:
         """Remove ``key``; returns its tuple id or ``None`` if absent."""
+        if len(key) != self.key_width:
+            raise key_width_error(key, self.key_width)
         if self.cache is not None:
             self.cache.invalidate_row(key)
         self.last_write_set = []
@@ -556,6 +583,8 @@ class BPlusTree:
     # ------------------------------------------------------------------
     def scan(self, start_key: bytes, count: int) -> List[Tuple[bytes, int]]:
         """Collect up to ``count`` items with key >= ``start_key``."""
+        if len(start_key) != self.key_width:
+            raise key_width_error(start_key, self.key_width)
         path, leaf = self.descend(start_key)
         leaf.access_count += 1
         controller = self.controller
@@ -576,6 +605,7 @@ class BPlusTree:
         descents are shared; the leaf-chain walks are the same as
         :meth:`scan`'s.
         """
+        check_key_widths(start_keys, self.key_width)
         results: List[List[Tuple[bytes, int]]] = [[] for _ in start_keys]
         if not start_keys:
             return results

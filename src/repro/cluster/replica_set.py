@@ -237,7 +237,10 @@ class ReplicaSet:
         old_profile = replica.profile
         items = len(replica.index)
         with self.cost.measure() as delta:
-            drained = replica.index.scan(b"", items) if items else []
+            drained = (
+                replica.index.scan(bytes(params["key_width"]), items)
+                if items else []
+            )
             new_index = build_engine_index(
                 profile.kind,
                 table=params["table"],

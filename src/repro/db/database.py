@@ -159,6 +159,9 @@ class SecondaryIndex:
         self._checks = tuple(
             _column_check(t, w) for t, w in zip(self.types, widths)
         )
+        #: ``values -> key``, checked (see :meth:`_key_of_values`);
+        #: compiled once, with a fast path for a single ``u64`` column.
+        self.key_of_values = self._compile_key_of_values()
         self.index = index
         self.view = view
         self._executor: Optional[BatchExecutor] = None
@@ -180,7 +183,29 @@ class SecondaryIndex:
     def key_width(self) -> int:
         return sum(self.widths)
 
-    def key_of_values(self, values: Sequence) -> bytes:
+    def _compile_key_of_values(self) -> Callable[[Sequence], bytes]:
+        """The check-plus-encode closure behind ``key_of_values``.
+
+        One ``int`` in range of a single ``u64`` column encodes straight
+        through ``int.to_bytes``; every other input takes
+        :meth:`_key_of_values`, so errors are raised there unchanged.
+        """
+        checked = self._key_of_values
+        if self.types != ("u64",):
+            return checked
+        (width,) = self.widths
+        limit = 1 << (8 * width)
+
+        def key_of_values(values: Sequence) -> bytes:
+            if len(values) == 1:
+                value = values[0]
+                if type(value) is int and 0 <= value < limit:
+                    return value.to_bytes(width, "big")
+            return checked(values)
+
+        return key_of_values
+
+    def _key_of_values(self, values: Sequence) -> bytes:
         """Order-preserving concatenation of the typed column values.
 
         Raises :class:`~repro.errors.KeyEncodingError` for a wrong

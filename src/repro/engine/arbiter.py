@@ -28,7 +28,7 @@ ordinary transition rules are evaluated against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro import obs
 from repro.errors import InvalidBudgetError, ShardConfigError

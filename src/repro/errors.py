@@ -58,7 +58,9 @@ The concrete classes map to the layers that raise them:
   ``bool`` or ``float`` in an integer column, a NaN in an ``f64``
   column, a non-ASCII or over-wide ``str``, or a wrong number of key
   values.  Writes are checked when staged, before any log append or
-  index update; read keys when encoded (``repro.db``).
+  index update; read keys when encoded (``repro.db``).  Every registered
+  index also raises it for a byte key whose width is not its
+  ``key_width``, before any charge (``repro.keys.encoding``).
 * :class:`TuningConfigError` — a self-tuning configuration that can
   never act: non-positive sample windows or payback horizons, empty
   cache ladders, negative fees, enabling the advisor twice, or

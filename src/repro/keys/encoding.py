@@ -9,6 +9,24 @@ what both the sorted-array B+-tree leaves and the blind tries rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
+
+from repro.errors import KeyEncodingError
+
+
+def key_width_error(key: bytes, width: int) -> KeyEncodingError:
+    """The error for a ``len(key)``-byte key given to an index of
+    ``width``-byte keys.  Every registered index raises it before it
+    charges or changes anything."""
+    return KeyEncodingError(f"key width {len(key)} != {width}")
+
+
+def check_key_widths(keys: Iterable[bytes], width: int) -> None:
+    """Raise :func:`key_width_error` for the first key of ``keys`` that
+    is not ``width`` bytes (batch forms check the whole batch first)."""
+    for key in keys:
+        if len(key) != width:
+            raise key_width_error(key, width)
 
 
 @dataclass(frozen=True)

@@ -437,8 +437,7 @@ class CostModel:
             critical += coordination_units * self.weights.fixed_op
         return serial_sum, critical
 
-    @contextmanager
-    def mlp_batch(self) -> Iterator[None]:
+    def mlp_batch(self) -> "_MlpBatch":
         """Treat dependent key loads inside the block as members of a
         batch of *independent* loads.
 
@@ -449,12 +448,7 @@ class CostModel:
         depth bookkeeping is exception-safe and guarded against
         underflow.
         """
-        self._mlp_depth += 1
-        try:
-            yield
-        finally:
-            self._mlp_depth -= 1
-            assert self._mlp_depth >= 0, "mlp_batch depth underflow"
+        return _MlpBatch(self)
 
     @contextmanager
     def mlp_window(self, width: Optional[int] = None) -> Iterator[WaveStats]:
@@ -594,18 +588,13 @@ class CostModel:
             round_.billed_units = fee_units * round_.scored
             self.fixed_ops(round_.billed_units)
 
-    @contextmanager
-    def attributed_to(self, tag: str) -> Iterator[None]:
+    def attributed_to(self, tag: str) -> "_Attribution":
         """Attribute charges inside the block to ``tag`` (in addition to
-        the global counters).  The innermost attribution wins on nesting.
+        the global counters).  The innermost attribution wins on nesting;
+        the previous tag is restored on exit, normal or by exception.
         Used for profiling breakdowns like section 6.1's "18.3% of
         execution is elasticity work"."""
-        previous = self._attribution
-        self._attribution = tag
-        try:
-            yield
-        finally:
-            self._attribution = previous
+        return _Attribution(self, tag)
 
     def tagged_cost(self, tag: str) -> float:
         """Weighted cost of the events attributed to ``tag``."""
@@ -627,6 +616,43 @@ class CostModel:
             yield
         finally:
             self.enabled = previous
+
+
+class _Attribution:
+    """The :meth:`CostModel.attributed_to` block (a plain class: it is
+    entered on every compact-leaf search)."""
+
+    __slots__ = ("cost", "tag", "previous")
+
+    def __init__(self, cost: CostModel, tag: str) -> None:
+        self.cost = cost
+        self.tag = tag
+        self.previous = ""
+
+    def __enter__(self) -> None:
+        cost = self.cost
+        self.previous = cost._attribution
+        cost._attribution = self.tag
+
+    def __exit__(self, *exc_info) -> None:
+        self.cost._attribution = self.previous
+
+
+class _MlpBatch:
+    """The :meth:`CostModel.mlp_batch` block (see there)."""
+
+    __slots__ = ("cost",)
+
+    def __init__(self, cost: CostModel) -> None:
+        self.cost = cost
+
+    def __enter__(self) -> None:
+        self.cost._mlp_depth += 1
+
+    def __exit__(self, *exc_info) -> None:
+        cost = self.cost
+        cost._mlp_depth -= 1
+        assert cost._mlp_depth >= 0, "mlp_batch depth underflow"
 
 
 class WhatIfRound:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import asdict, dataclass, field
-from typing import Callable, ClassVar, Dict, List, Optional
+from typing import Callable, ClassVar, Dict, List
 
 
 @dataclass

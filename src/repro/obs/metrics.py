@@ -13,7 +13,7 @@ with families and label sets emitted in sorted order.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 #: Label sets are stored as sorted (key, value) tuples so rendering and
 #: equality are deterministic regardless of observation order.

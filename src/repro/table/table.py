@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.memory.allocator import TrackingAllocator
 from repro.memory.cost_model import CostModel, NULL_COST_MODEL

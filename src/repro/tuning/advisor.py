@@ -900,7 +900,8 @@ class SelfTuningAdvisor:
         kwargs = dict(info.get("index_kwargs", {}))
         table_name, _, index_name = label.partition(".")
         with self.cost.measure() as delta:
-            drained = index.scan(b"", items) if items else []
+            drained = (index.scan(bytes(secondary.key_width), items)
+                       if items else [])
             fresh = build_sharded_index(
                 info.get("kind", "elastic"),
                 table=secondary.view,

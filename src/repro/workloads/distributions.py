@@ -8,9 +8,7 @@ variant skews towards recently inserted items (workload D).
 
 from __future__ import annotations
 
-import math
 import random
-from typing import Optional
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3

@@ -14,9 +14,11 @@ from repro.baselines.interface import OrderedIndex
 from repro.baselines.masstree import MasstreeIndex
 from repro.baselines.skiplist import SkipListIndex
 from repro.btree.tree import BPlusTree
+from repro.errors import KeyEncodingError
 from repro.keys.encoding import encode_u64
 from repro.memory.allocator import TrackingAllocator
 from repro.memory.cost_model import CostModel
+from repro.registry import available_indexes
 
 from tests.conftest import SortedModel, U64Source
 
@@ -250,3 +252,54 @@ class TestHybridSpecifics:
         assert hybrid.remove(key) == tid2
         assert hybrid.lookup(key) is None  # static copy must stay dead
         assert hybrid.scan(encode_u64(0), 1)[0][0] != key
+
+
+def _width_env(name):
+    from repro.bench.harness import (
+        estimate_stx_bytes_per_key,
+        make_u64_environment,
+    )
+
+    kwargs = {}
+    if name == "elastic":
+        # A bound below the data's standard size: leaves go compact.
+        kwargs["size_bound_bytes"] = int(estimate_stx_bytes_per_key() * 150)
+    env = make_u64_environment(name, **kwargs)
+    for value in range(0, 1200, 4):
+        tid = env.table.insert_row(value)
+        env.index.insert(env.table.peek_key(tid), tid)
+    return env
+
+
+def _index_state(env):
+    with env.cost.paused():
+        items = env.index.scan(bytes(8), 10_000)
+    return items, len(env.index), env.index.index_bytes
+
+
+@pytest.mark.parametrize("name", available_indexes())
+@pytest.mark.parametrize("width", [0, 7, 9])
+def test_wrong_width_key_raises_before_any_charge(name, width):
+    env = _width_env(name)
+    index = env.index
+    good = encode_u64(400)
+    bad = (encode_u64(400) + b"\x01")[:width] if width <= 8 else (
+        encode_u64(400) + bytes(width - 8))
+    ops = {
+        "lookup": lambda: index.lookup(bad),
+        "remove": lambda: index.remove(bad),
+        "scan": lambda: index.scan(bad, 4),
+        "insert": lambda: index.insert(bad, 0),
+        "lookup_batch": lambda: index.lookup_batch([good, bad]),
+        "scan_batch": lambda: index.scan_batch([good, bad], 4),
+        "insert_sorted_batch": lambda: index.insert_sorted_batch(
+            [(encode_u64(401), 0), (bad, 1)]),
+    }
+    before = _index_state(env)
+    for op, call in ops.items():
+        counts = list(env.cost.counts.items())
+        with pytest.raises(KeyEncodingError, match="key width"):
+            call()
+        assert list(env.cost.counts.items()) == counts, op
+    assert _index_state(env) == before
+    assert index.lookup(good) is not None

@@ -11,10 +11,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.blindi.seqtrie import SeqTrieRep
+from repro.blindi.seqtrie import SearchResult, SeqTrieRep, _Descent
 from repro.blindi.seqtree import ET, SeqTreeRep
 from repro.blindi.subtrie import SubTrieRep
+from repro.keys.bitops import first_diff_bit, get_bit
 from repro.keys.encoding import encode_u64
+from repro.memory.cost_model import CostModel
+from repro.table.table import Table
 
 from tests.conftest import SortedModel, U64Source
 
@@ -358,3 +361,192 @@ class TestSubTrieSpecifics:
         rep.search(encode_u64(300))
         # A balanced 512-key trie descends ~9-18 nodes, far below n.
         assert source.cost.counts.get("compare", 0) < 40
+
+
+# ----------------------------------------------------------------------
+# Integer search vs. the byte-string search it replaced (oracle)
+# ----------------------------------------------------------------------
+# The SeqTrie/SeqTree search runs on the key as one integer: bit tests
+# are shifts and the discriminating bit is one ``bit_length``.  The
+# functions below are the byte-string search it replaced, kept verbatim
+# as the oracle: per-bit ``get_bit``, ``first_diff_bit`` and per-level
+# descent charges.  Both must agree on every ``SearchResult`` field and
+# on the ledger, down to the first-appearance order of every category.
+
+
+def _oracle_descend(rep, key):
+    d = _Descent(lo=0, hi=len(rep.bits) - 1, j=0)
+    if not isinstance(rep, SeqTreeRep):
+        return d
+    tree = rep.tree
+    size = len(tree)
+    if size:
+        rep.cost.seq_lines(1)
+    slot = 0
+    while slot < size:
+        m = tree[slot]
+        if m == ET:
+            break
+        rep.cost.compares(1)
+        rep.cost.branches(1)
+        if get_bit(key, rep.bits[m]):
+            d.j = m + 1
+            d.lo = m + 1
+            d.right_turn_inds.append(m)
+            slot = 2 * slot + 2
+        else:
+            d.hi = m - 1
+            d.left_turn_inds.append(m)
+            slot = 2 * slot + 1
+    return d
+
+
+def _oracle_scan(rep, key, lo, hi, j):
+    count = hi - lo + 1
+    if count <= 0:
+        return j
+    lines = (count * rep.bit_entry_bytes + 63) // 64
+    rep.cost.charge_many(
+        ("rand_line", 1), ("seq_line", lines - 1),
+        ("compare", count), ("branch", count),
+    )
+    threshold = 1 << 30
+    for i in range(lo, hi + 1):
+        b = rep.bits[i]
+        if b > threshold:
+            continue
+        if get_bit(key, b):
+            j = i + 1
+            threshold = 1 << 30
+        else:
+            threshold = b
+    return j
+
+
+def _oracle_fixup(rep, scanned):
+    if scanned:
+        rep.cost.touch_bytes_seq(scanned * rep.bit_entry_bytes)
+        rep.cost.compares(scanned)
+        rep.cost.branches(scanned)
+
+
+def _oracle_boundary(rep, candidates, b_d, default):
+    scanned = 0
+    for i in candidates:
+        scanned += 1
+        if rep.bits[i] < b_d:
+            _oracle_fixup(rep, scanned)
+            return i
+    _oracle_fixup(rep, scanned)
+    return default
+
+
+def oracle_search(rep, key):
+    if rep.n == 0:
+        return SearchResult(found=False, pos=0, pred=-1)
+    d = _oracle_descend(rep, key)
+    j = _oracle_scan(rep, key, d.lo, d.hi, d.j)
+    candidate = rep.table.load_key(rep.tids[j])
+    rep.cost.compares(1)
+    b_d = first_diff_bit(candidate, key)
+    if b_d is None:
+        return SearchResult(found=True, pos=j, pred=j)
+    if get_bit(key, b_d):
+        right = list(range(j, d.hi + 1)) + list(reversed(d.left_turn_inds))
+        pred = _oracle_boundary(rep, right, b_d, rep.n - 1)
+        return SearchResult(found=False, pos=pred + 1, pred=pred, b_d=b_d,
+                            bits_insert_idx=pred, skey_greater=True)
+    left = list(range(j - 1, d.lo - 1, -1)) + list(reversed(d.right_turn_inds))
+    pred = _oracle_boundary(rep, left, b_d, -1)
+    return SearchResult(found=False, pos=pred + 1, pred=pred, b_d=b_d,
+                        bits_insert_idx=pred + 1, skey_greater=False)
+
+
+class RawKeySource:
+    """A table of raw ``width``-byte keys (rows are the keys themselves)."""
+
+    def __init__(self, width):
+        self.width = width
+        self.cost = CostModel()
+        self.table = Table(
+            key_of_row=lambda row: row, row_bytes=48, cost_model=self.cost
+        )
+
+
+def _ledger(search, rep, key, tag):
+    """Run one search on a fresh ledger; return the result and the
+    ledger's counts and tag buckets, in insertion order."""
+    cost = CostModel()
+    rep.cost = cost
+    rep.table.cost_model = cost
+    if tag:
+        with cost.attributed_to(tag):
+            result = search(key)
+    else:
+        result = search(key)
+    tagged = [(t, list(bucket.items())) for t, bucket in cost.tagged.items()]
+    return result, list(cost.counts.items()), tagged
+
+
+ORACLE_REPS = [(SeqTrieRep, {})] + [
+    (SeqTreeRep, {"levels": levels}) for levels in range(4)
+]
+
+
+@st.composite
+def oracle_key_sets(draw):
+    """Sorted distinct keys of width 8, 16 or 32 B: uniform, sharing a
+    long prefix (dense low bits), or holding the all-zero key."""
+    width = draw(st.sampled_from([8, 16, 32]))
+    nbits = width * 8
+    shape = draw(st.sampled_from(["uniform", "shared_prefix", "zero"]))
+    if shape == "uniform":
+        # Up to 80 keys: a SeqTrie scan then spans two cache lines.
+        values = draw(st.lists(st.integers(0, (1 << nbits) - 1),
+                               min_size=1, max_size=80))
+    else:
+        low = draw(st.integers(1, 12))
+        prefix = 0 if shape == "zero" else draw(
+            st.integers(0, (1 << (nbits - low)) - 1))
+        values = [prefix << low | v for v in draw(st.lists(
+            st.integers(0, (1 << low) - 1), min_size=1, max_size=40))]
+        if shape == "zero":
+            values.append(0)
+    values = sorted(set(values))
+    return width, [v.to_bytes(width, "big") for v in values]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=oracle_key_sets(), tag=st.sampled_from(["", "compact.search"]))
+def test_int_search_matches_bytes_oracle(case, tag):
+    width, keys = case
+    top = (1 << (width * 8)) - 1
+    probes = {0, top}
+    for key in keys:
+        v = int.from_bytes(key, "big")
+        probes.update(p for p in (v - 1, v, v + 1) if 0 <= p <= top)
+    source = RawKeySource(width)
+    tids = [source.table.insert_row(key) for key in keys]
+    for rep_cls, kwargs in ORACLE_REPS:
+        rep = rep_cls.from_sorted(keys, tids, source.table, width,
+                                  source.cost, **kwargs)
+        for p in sorted(probes):
+            probe = p.to_bytes(width, "big")
+            expected = _ledger(lambda k: oracle_search(rep, k), rep, probe, tag)
+            actual = _ledger(rep.search, rep, probe, tag)
+            assert actual == expected, (rep_cls.__name__, kwargs, probe)
+
+
+@pytest.mark.parametrize("rep_cls,kwargs", ORACLE_REPS)
+def test_int_search_on_empty_and_wrong_width(rep_cls, kwargs):
+    source = RawKeySource(8)
+    empty = rep_cls(source.table, 8, source.cost, **kwargs)
+    assert _ledger(empty.search, empty, bytes(8), "") == _ledger(
+        lambda k: oracle_search(empty, k), empty, bytes(8), "")
+    keys = [encode_u64(v) for v in (3, 9, 200)]
+    tids = [source.table.insert_row(key) for key in keys]
+    rep = rep_cls.from_sorted(keys, tids, source.table, 8, source.cost,
+                              **kwargs)
+    # A candidate whose width differs from the searched key's.
+    with pytest.raises(ValueError):
+        rep.search(encode_u64(9) + b"\x00")

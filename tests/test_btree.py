@@ -1,5 +1,6 @@
 """Unit and property tests for the B+-tree substrate with standard leaves."""
 
+import bisect
 import random
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.blindi.leaf import compact_leaf_factory
 from repro.blindi.seqtree import SeqTreeRep
 from repro.btree.leaves import LeafFullError, StandardLeaf
-from repro.btree.tree import BPlusTree
+from repro.btree.tree import BPlusTree, InnerNode
 from repro.keys.encoding import encode_u64
 from repro.learned.leaf import learned_leaf_factory
 from repro.memory.allocator import TrackingAllocator
@@ -329,3 +330,62 @@ def test_scan_matches_per_item_loop(kind, shape):
     assert got == expected
     assert len(got) == min(count, (600 - 303) // 3)
     assert list(new.counts.items()) == list(old.counts.items())
+
+
+def _per_level_descend(tree, key):
+    """Oracle: the descent that the fused one replaced — one
+    ``charge_many`` per inner node, fences tracked per level."""
+    path, lo, hi = [], None, None
+    node = tree.root
+    while isinstance(node, InnerNode):
+        keys = node.keys
+        probes = len(keys).bit_length() or 1
+        tree.cost.charge_many(
+            ("rand_line", 1), ("compare", probes), ("branch", probes)
+        )
+        idx = bisect.bisect_right(keys, key)
+        if idx > 0:
+            lo = keys[idx - 1]
+        if idx < len(keys):
+            hi = keys[idx]
+        path.append((node, idx))
+        node = node.children[idx]
+    return path, node, lo, hi
+
+
+def _descent_ledger(tree, fn, key, tag):
+    """Run ``fn(key)`` on a fresh ledger; return its result and the
+    ledger's counts and tag buckets in insertion order."""
+    cost = CostModel()
+    tree.cost = cost
+    if tag:
+        with cost.attributed_to(tag):
+            result = fn(key)
+    else:
+        result = fn(key)
+    tagged = [(t, list(bucket.items())) for t, bucket in cost.tagged.items()]
+    return result, list(cost.counts.items()), tagged
+
+
+@pytest.mark.parametrize("n,height", [(3, 1), (12, 2), (30, 3), (100, 4)])
+@pytest.mark.parametrize("tag", ["", "descent"])
+def test_fused_descent_matches_per_level(n, height, tag):
+    tree = make_tree()
+    for value in range(0, 4 * n, 4):
+        tree.insert(encode_u64(value), value)
+    assert tree.height == height
+    tree.trace = []
+    for value in range(-1, 4 * n + 2):
+        key = encode_u64(max(0, value))
+        expected = _descent_ledger(
+            tree, lambda k: _per_level_descend(tree, k), key, tag
+        )
+        path, leaf, lo, hi = expected[0]
+        fenced = _descent_ledger(tree, tree._descend_fenced, key, tag)
+        assert fenced == expected
+        plain = _descent_ledger(tree, tree.descend, key, tag)
+        assert plain == ((path, leaf),) + expected[1:]
+        if height == 1:
+            assert plain[1] == [] and plain[2] == []
+    # Both descents record every visited node, root to leaf.
+    assert len(tree.trace) == 2 * height * (4 * n + 3)

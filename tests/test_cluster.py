@@ -427,6 +427,28 @@ class TestRebuild:
         assert replica_set.replicas[2].index.lookup(
             values[0].to_bytes(8, "big")) is not None
 
+    def test_rebuild_drains_a_compact_leftmost_leaf(self):
+        # The drain scans from the smallest key of the index's width; a
+        # zero-width start key made the compact leaf's bit search fail.
+        db, table = make_table()
+        cfg = ReplicaConfig(
+            replicas=2,
+            profiles=(preset_profile("lattice", weight=0.5),
+                      ReplicaProfile(name="seq", kind="stx-seqtree",
+                                     weight=0.5)),
+            total_bound_bytes=120_000,
+        )
+        replica_set = table.create_index(
+            "by_k", ("k",), kind="elastic", replicas=cfg).index
+        values = load_values(400)
+        table.insert_batch([(v, v & 0xFF) for v in values])
+        assert replica_set.replicas[1].index.first_leaf.kind == "compact"
+        replica_set.rebuild(1, preset_profile("baseline", weight=0.5))
+        rebuilt = replica_set.replicas[1].index
+        assert [k for k, _ in rebuilt.scan(bytes(8), len(values) + 1)] == [
+            v.to_bytes(8, "big") for v in values
+        ]
+
     def test_rebuild_validates_target(self):
         _, _, replica_set, _ = self.build()
         with pytest.raises(ReplicaConfigError):

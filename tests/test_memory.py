@@ -151,6 +151,43 @@ class TestCostModel:
         assert cost.tagged["outer"]["rand_line"] == 2
         assert cost.tagged["inner"]["rand_line"] == 1
 
+    def test_attribution_restores_on_exception(self):
+        cost = CostModel()
+        with cost.attributed_to("outer") as bound:
+            assert bound is None
+            with pytest.raises(RuntimeError):
+                with cost.attributed_to("inner"):
+                    cost.rand_lines(1)
+                    raise RuntimeError("boom")
+            assert cost._attribution == "outer"
+            cost.compares(1)
+        assert cost._attribution == ""
+        with pytest.raises(KeyError):
+            with cost.attributed_to("outer"):
+                with cost.mlp_batch():
+                    raise KeyError("both blocks unwind")
+        assert cost._attribution == "" and cost._mlp_depth == 0
+        cost.rand_lines(1)  # untagged again
+        assert cost.tagged == {"inner": {"rand_line": 1},
+                               "outer": {"compare": 1}}
+        assert cost.counts == {"rand_line": 2, "compare": 1}
+
+    def test_attribution_blocks_interleave_with_measure(self):
+        # Entering saves the tag current at entry, not at creation.
+        cost = CostModel()
+        block = cost.attributed_to("late")
+        with cost.attributed_to("outer"):
+            with block:
+                cost.rand_lines(1)
+            cost.rand_lines(1)
+            with cost.measure() as delta:
+                with cost.attributed_to("measured"):
+                    cost.seq_lines(2)
+        assert cost.tagged == {"late": {"rand_line": 1},
+                               "outer": {"rand_line": 1},
+                               "measured": {"seq_line": 2}}
+        assert delta.counts == {"seq_line": 2}
+
     def test_reset_clears_tags(self):
         cost = CostModel()
         with cost.attributed_to("t"):
@@ -488,6 +525,19 @@ class TestPrefetchWaves:
         assert cost._mlp_depth == 0
         cost.key_loads(1)  # back to the dependent rate after unwind
         assert cost.counts["key_load"] == 1
+
+    def test_mlp_batch_depth_restored_when_nested_block_raises(self):
+        cost = CostModel()
+        with cost.mlp_batch() as bound:
+            assert bound is None
+            with pytest.raises(RuntimeError):
+                with cost.mlp_batch():
+                    assert cost._mlp_depth == 2
+                    raise RuntimeError("boom")
+            assert cost._mlp_depth == 1
+            cost.key_loads(1)
+        assert cost._mlp_depth == 0
+        assert cost.counts == {"key_load_batched": 1}
 
     def test_mlp_batch_underflow_is_guarded(self):
         cost = CostModel()
